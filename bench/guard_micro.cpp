@@ -1,32 +1,111 @@
 // Perf-regression guard over a freshly emitted BENCH_micro.json: CI runs
 // the smoke bench, then this checker, and the build fails when a tracked
-// wall-speedup ratio drops below its floor or a differential-identity flag
-// flips. The guard deliberately does not link the library (it must stay a
-// dumb reader even if the emitter is broken), so instead of util/json.h's
+// value leaves its declared bound. Every gate lives in the one table
+// below; the record's own "smoke" field picks the smoke or the full bound
+// of each row, so the invocation carries no thresholds.
+//
+// The guard deliberately does not link the library (it must stay a dumb
+// reader even if the emitter is broken), so instead of util/json.h's
 // parser it scans for `"key": value` inside a named section — exactly the
 // shape util/json.h emits.
 //
-// Usage: bench_guard BENCH_micro.json [--min-nullspace=N] [--min-accounting=N]
+// Usage: bench_guard BENCH_micro.json
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 namespace {
 
-/// Value text of `"key": ...` inside `section`'s object. The emitted
-/// sections are flat (no nested objects), so the section extends to the
-/// first closing brace after its opening one — bounding the key search
-/// there keeps a missing key from silently matching a later section.
+enum class gate {
+  floor,    ///< value >= bound
+  ceiling,  ///< value <= bound
+  flag,     ///< value is `true`
+};
+
+struct gate_row {
+  const char* section;
+  const char* key;
+  gate kind;
+  double smoke;  ///< bound when the record says "smoke": true
+  double full;   ///< bound for the full configuration
+};
+
+// Wall ratios carry slack for runner jitter; measurement counts and
+// virtual time are deterministic, so their ceilings sit exactly at the
+// values recorded when the gate was set — any growth is a regression.
+constexpr gate_row kGates[] = {
+    // Function detection (16 bank bits full, 14 smoke): virtual ns
+    // charged by the null-space search. Falling back to the 2^B mask
+    // enumeration costs ~8x (smoke) to ~32x (full) more.
+    {"function_detect_synthetic", "nullspace_virtual_ns", gate::ceiling,
+     130368, 522240},
+    {"function_detect_synthetic", "recovered_functions", gate::flag, 0, 0},
+    // The batch-native hot path must beat the scalar measure_pair loop.
+    {"batched_measurement", "wall_speedup", gate::floor, 1.0, 1.0},
+    // Slower of decode/measure at 100k pairs, simulated measurements per
+    // host second (~20M on one core; per-access accounting would cost
+    // ~30x).
+    {"hot_path_throughput", "min_mps_100k", gate::floor, 2e6, 2e6},
+    // Counter sampler vs the sequential mt19937 gaussian (~2.4x).
+    {"noise_sampling", "speedup", gate::floor, 1.3, 1.3},
+    // 1-thread/8-thread counter-tail wall: >1 on multi-core hosts, bounded
+    // below where an oversubscribed pool only adds handoff cost.
+    {"counter_tail", "scaling_8t_vs_1t", gate::floor, 0.6, 0.6},
+    // Dispatched decode_banks vs the pinned scalar kernel; ~1x when the
+    // host lacks AVX2 (or DRAMDIG_FORCE_SCALAR_DECODE=1 pins scalar).
+    {"decode_simd", "speedup", gate::floor, 0.8, 0.8},
+    {"decode_simd", "identical_results", gate::flag, 0, 0},
+    // Cached verdicts pay bookkeeping, so the off/on per-verdict ratio is
+    // EXPECTED below one; the floor only bounds how much slower a cached
+    // verdict may be. The win is measurement count, gated below.
+    {"plan_overhead", "expected_below_one", gate::flag, 0, 0},
+    {"plan_overhead", "ns_per_verdict_ratio", gate::floor, 0.2, 0.2},
+    // Representative partition vs the pivot-scan loop: smallest saving
+    // across 8/16/32 banks (~0.6 recorded).
+    {"partition_representatives", "ok", gate::flag, 0, 0},
+    {"partition_representatives", "min_reduction", gate::floor, 0.25, 0.25},
+    // Designed bit-probe engine, coarse+fine measurements per machine
+    // size. Fixed-count voting costs ~3x these.
+    {"bit_probe", "ok", gate::flag, 0, 0},
+    {"bit_probe", "designed_8", gate::ceiling, 506, 506},
+    {"bit_probe", "designed_16", gate::ceiling, 518, 518},
+    {"bit_probe", "designed_32", gate::ceiling, 436, 436},
+    // Measurement-reuse scheduler over a whole pipeline run: it must cut
+    // the measurement count (cache-off / cache-on, ~4.3x) and never lose
+    // wall time doing so.
+    {"partition_measurement_reuse", "ok_cache_on", gate::flag, 0, 0},
+    {"partition_measurement_reuse", "ok_cache_off", gate::flag, 0, 0},
+    {"partition_measurement_reuse", "measurement_reduction", gate::floor,
+     1.01, 1.01},
+    {"partition_measurement_reuse", "wall_speedup", gate::floor, 0.98, 0.98},
+    // Fleet store on No.1 (the worst warm case): a verify hit must save
+    // >=80% of a cold recovery, an evidence warm start >=50%, both with
+    // the cold mapping reproduced bit-identically.
+    {"fleet_warm_start", "mapping_identical", gate::flag, 0, 0},
+    {"fleet_warm_start", "warm_mapping_identical", gate::flag, 0, 0},
+    {"fleet_warm_start", "hits_ok", gate::flag, 0, 0},
+    {"fleet_warm_start", "verify_reduction", gate::floor, 0.8, 0.8},
+    {"fleet_warm_start", "warm_evidence_reduction", gate::floor, 0.5, 0.5},
+};
+
+/// Value text of `"key": ...` inside `section`'s object (section empty =
+/// the top-level object). The emitted sections are flat (no nested
+/// objects), so a section extends to the first closing brace after its
+/// opening one — bounding the key search there keeps a missing key from
+/// silently matching a later section.
 std::string value_after(const std::string& doc, const std::string& section,
                         const std::string& key) {
-  const std::size_t at = doc.find("\"" + section + "\"");
-  if (at == std::string::npos) return {};
-  const std::size_t open = doc.find('{', at);
-  if (open == std::string::npos) return {};
-  const std::size_t close = doc.find('}', open);
+  std::size_t at = 0;
+  std::size_t close = std::string::npos;
+  if (!section.empty()) {
+    at = doc.find("\"" + section + "\"");
+    if (at == std::string::npos) return {};
+    const std::size_t open = doc.find('{', at);
+    if (open == std::string::npos) return {};
+    close = doc.find('}', open);
+  }
   const std::size_t k = doc.find("\"" + key + "\"", at);
   if (k == std::string::npos || (close != std::string::npos && k > close)) {
     return {};
@@ -43,140 +122,37 @@ std::string value_after(const std::string& doc, const std::string& section,
   return doc.substr(v, end - v);
 }
 
-bool check_speedup(const std::string& doc, const std::string& section,
-                   double floor, int& failures) {
-  const std::string text = value_after(doc, section, "wall_speedup");
+/// Checks one row; prints the verdict and returns false on failure.
+bool check(const std::string& doc, const gate_row& row, bool smoke) {
+  const std::string text = value_after(doc, row.section, row.key);
   if (text.empty()) {
-    std::fprintf(stderr, "guard: %s.wall_speedup missing\n", section.c_str());
-    ++failures;
+    std::fprintf(stderr, "guard: %s.%s missing\n", row.section, row.key);
     return false;
   }
-  const double speedup = std::strtod(text.c_str(), nullptr);
-  if (speedup < floor) {
-    std::fprintf(stderr, "guard: %s.wall_speedup %.2fx below floor %.2fx\n",
-                 section.c_str(), speedup, floor);
-    ++failures;
-    return false;
+  if (row.kind == gate::flag) {
+    const bool ok = text.substr(0, 4) == "true";
+    std::fprintf(ok ? stdout : stderr, "guard: %s.%s is %s%s\n", row.section,
+                 row.key, text.c_str(), ok ? " ok" : ", want true");
+    return ok;
   }
-  std::printf("guard: %s.wall_speedup %.2fx (floor %.2fx) ok\n",
-              section.c_str(), speedup, floor);
-  return true;
-}
-
-bool check_ratio(const std::string& doc, const std::string& section,
-                 const std::string& key, double floor, int& failures) {
-  const std::string text = value_after(doc, section, key);
-  if (text.empty()) {
-    std::fprintf(stderr, "guard: %s.%s missing\n", section.c_str(),
-                 key.c_str());
-    ++failures;
-    return false;
-  }
-  const double ratio = std::strtod(text.c_str(), nullptr);
-  if (ratio < floor) {
-    std::fprintf(stderr, "guard: %s.%s %.2fx below floor %.2fx\n",
-                 section.c_str(), key.c_str(), ratio, floor);
-    ++failures;
-    return false;
-  }
-  std::printf("guard: %s.%s %.2fx (floor %.2fx) ok\n", section.c_str(),
-              key.c_str(), ratio, floor);
-  return true;
-}
-
-bool check_true(const std::string& doc, const std::string& section,
-                const std::string& key, int& failures) {
-  const std::string text = value_after(doc, section, key);
-  if (text.substr(0, 4) != "true") {
-    std::fprintf(stderr, "guard: %s.%s is '%s', want true\n", section.c_str(),
-                 key.c_str(), text.c_str());
-    ++failures;
-    return false;
-  }
-  std::printf("guard: %s.%s ok\n", section.c_str(), key.c_str());
-  return true;
+  const double value = std::strtod(text.c_str(), nullptr);
+  const double bound = smoke ? row.smoke : row.full;
+  const bool ceiling = row.kind == gate::ceiling;
+  const bool ok = ceiling ? value <= bound : value >= bound;
+  std::fprintf(ok ? stdout : stderr, "guard: %s.%s %.6g (%s %.6g)%s\n",
+               row.section, row.key, value, ceiling ? "ceiling" : "floor",
+               bound, ok ? " ok" : " FAILED");
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
-  double min_nullspace = 5.0;
-  double min_accounting = 3.0;
-  double min_rep_reduction = 0.25;
-  double min_probe_reduction = 0.30;
-  double min_batch_speedup = 1.0;
-  // Whole-pipeline walls are now a few milliseconds (the per-page region
-  // index that used to dominate them is gone), so the measured ratio sits
-  // at ~1.03 on the smoke machine. The default absorbs scheduler jitter on
-  // arbitrary hosts; CI pins 0.98 — reuse must never lose wall time.
-  double min_reuse_wall_speedup = 0.95;
-  double min_hot_throughput = 2000000.0;
-  // Counter sampler vs the sequential mt19937 gaussian (draws/s ratio).
-  double min_noise_speedup = 1.3;
-  // Wall ratio 1-thread/8-thread of the counter tail: >1 on multi-core
-  // hosts (the shards actually spread), and bounded below on single-core
-  // CI where an 8-thread pool only adds handoff cost.
-  double min_tail_scaling = 0.6;
-  // Dispatched decode_banks vs the pinned scalar kernel; 1.0+ wherever a
-  // SIMD unit exists, and never far below even on the forced-scalar run.
-  double min_decode_speedup = 0.8;
-  // Verification-only store hits vs a cold recovery (measurement count
-  // reduction, 0.8 = "80% fewer"): the fleet store's acceptance metric.
-  double min_warm_reduction = 0.8;
-  // Evidence-carrying warm starts (geometry sibling + v2 evidence prior)
-  // vs a cold recovery. The bench runs the fleet's worst warm machine, so
-  // this floor holds fleet-wide.
-  double min_warm_evidence_reduction = 0.5;
-  // plan_overhead.ns_per_verdict_ratio is EXPECTED below one (cached
-  // verdicts pay bookkeeping per verdict; the win is measurement count,
-  // gated by partition_measurement_reuse). The floor only documents that a
-  // cached verdict must not become absurdly slower than a raw re-measure.
-  double min_verdict_ratio = 0.2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--min-nullspace=", 16) == 0) {
-      min_nullspace = std::strtod(argv[i] + 16, nullptr);
-    } else if (std::strncmp(argv[i], "--min-accounting=", 17) == 0) {
-      min_accounting = std::strtod(argv[i] + 17, nullptr);
-    } else if (std::strncmp(argv[i], "--min-rep-reduction=", 20) == 0) {
-      min_rep_reduction = std::strtod(argv[i] + 20, nullptr);
-    } else if (std::strncmp(argv[i], "--min-probe-reduction=", 22) == 0) {
-      min_probe_reduction = std::strtod(argv[i] + 22, nullptr);
-    } else if (std::strncmp(argv[i], "--min-batch-speedup=", 20) == 0) {
-      min_batch_speedup = std::strtod(argv[i] + 20, nullptr);
-    } else if (std::strncmp(argv[i], "--min-reuse-wall-speedup=", 25) == 0) {
-      min_reuse_wall_speedup = std::strtod(argv[i] + 25, nullptr);
-    } else if (std::strncmp(argv[i], "--min-hot-throughput=", 21) == 0) {
-      min_hot_throughput = std::strtod(argv[i] + 21, nullptr);
-    } else if (std::strncmp(argv[i], "--min-noise-speedup=", 20) == 0) {
-      min_noise_speedup = std::strtod(argv[i] + 20, nullptr);
-    } else if (std::strncmp(argv[i], "--min-tail-scaling=", 19) == 0) {
-      min_tail_scaling = std::strtod(argv[i] + 19, nullptr);
-    } else if (std::strncmp(argv[i], "--min-decode-speedup=", 21) == 0) {
-      min_decode_speedup = std::strtod(argv[i] + 21, nullptr);
-    } else if (std::strncmp(argv[i], "--min-warm-reduction=", 21) == 0) {
-      min_warm_reduction = std::strtod(argv[i] + 21, nullptr);
-    } else if (std::strncmp(argv[i], "--min-warm-evidence-reduction=", 30) ==
-               0) {
-      min_warm_evidence_reduction = std::strtod(argv[i] + 30, nullptr);
-    } else if (std::strncmp(argv[i], "--min-verdict-ratio=", 20) == 0) {
-      min_verdict_ratio = std::strtod(argv[i] + 20, nullptr);
-    } else {
-      path = argv[i];
-    }
-  }
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: bench_guard BENCH_micro.json [--min-nullspace=N] "
-                 "[--min-accounting=N] [--min-rep-reduction=F] "
-                 "[--min-probe-reduction=F] [--min-batch-speedup=N] "
-                 "[--min-reuse-wall-speedup=N] [--min-hot-throughput=N] "
-                 "[--min-noise-speedup=N] [--min-tail-scaling=N] "
-                 "[--min-decode-speedup=N] [--min-warm-reduction=F] "
-                 "[--min-warm-evidence-reduction=F] "
-                 "[--min-verdict-ratio=F]\n");
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: bench_guard BENCH_micro.json\n");
     return 2;
   }
+  const std::string path = argv[1];
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "guard: cannot read %s\n", path.c_str());
@@ -186,175 +162,16 @@ int main(int argc, char** argv) {
   buf << in.rdbuf();
   const std::string doc = buf.str();
 
+  const std::string smoke_text = value_after(doc, "", "smoke");
+  if (smoke_text.empty()) {
+    std::fprintf(stderr, "guard: %s has no \"smoke\" field\n", path.c_str());
+    return 2;
+  }
+  const bool smoke = smoke_text.substr(0, 4) == "true";
+  std::printf("guard: %s configuration\n", smoke ? "smoke" : "full");
+
   int failures = 0;
-  check_speedup(doc, "function_detect_synthetic", min_nullspace, failures);
-  check_true(doc, "function_detect_synthetic", "identical_functions", failures);
-  check_speedup(doc, "measurement_accounting", min_accounting, failures);
-  check_true(doc, "measurement_accounting", "identical_results", failures);
-  check_true(doc, "partition_measurement_reuse", "ok_cache_on", failures);
-  // A failed baseline would make the reduction comparison meaningless.
-  check_true(doc, "partition_measurement_reuse", "ok_cache_off", failures);
-
-  // The batch-native hot path must beat the scalar measure_pair loop on
-  // wall time, and the plan's bookkeeping must cost less than the
-  // measurements it saves over a whole pipeline run.
-  check_speedup(doc, "batched_measurement", min_batch_speedup, failures);
-  check_speedup(doc, "partition_measurement_reuse", min_reuse_wall_speedup,
-                failures);
-
-  // Counter-based noise: the fixed-consumption sampler must stay ahead of
-  // the sequential mt19937 draw, the shard-parallel tail must not decay
-  // under an oversubscribed pool, and the dispatched decode kernel must
-  // match the pinned scalar kernel bit-for-bit.
-  check_ratio(doc, "noise_sampling", "speedup", min_noise_speedup, failures);
-  check_ratio(doc, "counter_tail", "scaling_8t_vs_1t", min_tail_scaling,
-              failures);
-  check_ratio(doc, "decode_simd", "speedup", min_decode_speedup, failures);
-  check_true(doc, "decode_simd", "identical_results", failures);
-
-  // plan_overhead's per-verdict ratio sits below one on purpose (the
-  // emitter annotates it with expected_below_one) — the guard checks the
-  // annotation is still there and pins only a pessimistic lower floor, so
-  // the committed value reads as intent, not as an unnoticed regression.
-  check_true(doc, "plan_overhead", "expected_below_one", failures);
-  check_ratio(doc, "plan_overhead", "ns_per_verdict_ratio", min_verdict_ratio,
-              failures);
-
-  // Fleet mapping store: a verification-only hit must cost at least the
-  // floor fewer measurements than the cold recovery it replaces, while
-  // reproducing the stored mapping bit-identically.
-  check_true(doc, "fleet_warm_start", "mapping_identical", failures);
-  check_true(doc, "fleet_warm_start", "hits_ok", failures);
-  const std::string warm_text =
-      value_after(doc, "fleet_warm_start", "verify_reduction");
-  if (warm_text.empty()) {
-    std::fprintf(stderr, "guard: fleet_warm_start.verify_reduction missing\n");
-    ++failures;
-  } else {
-    const double reduction = std::strtod(warm_text.c_str(), nullptr);
-    if (reduction < min_warm_reduction) {
-      std::fprintf(stderr,
-                   "guard: store verification saves only %.0f%% vs a cold "
-                   "recovery (floor %.0f%%)\n",
-                   reduction * 100.0, min_warm_reduction * 100.0);
-      ++failures;
-    } else {
-      std::printf("guard: store verification saves %.0f%% (floor %.0f%%) ok\n",
-                  reduction * 100.0, min_warm_reduction * 100.0);
-    }
-  }
-
-  // Evidence-carrying warm starts: a geometry sibling run from the v2
-  // evidence prior must beat a cold recovery by at least the floor while
-  // recovering the stored mapping bit-identically.
-  check_true(doc, "fleet_warm_start", "warm_mapping_identical", failures);
-  const std::string evidence_text =
-      value_after(doc, "fleet_warm_start", "warm_evidence_reduction");
-  if (evidence_text.empty()) {
-    std::fprintf(stderr,
-                 "guard: fleet_warm_start.warm_evidence_reduction missing\n");
-    ++failures;
-  } else {
-    const double reduction = std::strtod(evidence_text.c_str(), nullptr);
-    if (reduction < min_warm_evidence_reduction) {
-      std::fprintf(stderr,
-                   "guard: evidence warm start saves only %.0f%% vs a cold "
-                   "recovery (floor %.0f%%)\n",
-                   reduction * 100.0, min_warm_evidence_reduction * 100.0);
-      ++failures;
-    } else {
-      std::printf("guard: evidence warm start saves %.0f%% (floor %.0f%%) "
-                  "ok\n",
-                  reduction * 100.0, min_warm_evidence_reduction * 100.0);
-    }
-  }
-
-  // Raw hot-path throughput: the slower of decode/measure at 100k pairs
-  // must clear the floor (simulated measurements per host second).
-  const std::string mps_text =
-      value_after(doc, "hot_path_throughput", "min_mps_100k");
-  if (mps_text.empty()) {
-    std::fprintf(stderr, "guard: hot_path_throughput.min_mps_100k missing\n");
-    ++failures;
-  } else {
-    const double mps = std::strtod(mps_text.c_str(), nullptr);
-    if (mps < min_hot_throughput) {
-      std::fprintf(stderr,
-                   "guard: hot path runs %.2fM meas/s, below the %.2fM floor\n",
-                   mps / 1e6, min_hot_throughput / 1e6);
-      ++failures;
-    } else {
-      std::printf("guard: hot path %.2fM meas/s (floor %.2fM) ok\n", mps / 1e6,
-                  min_hot_throughput / 1e6);
-    }
-  }
-
-  // The scheduler must reduce the measurement count, not just match it.
-  const std::string off =
-      value_after(doc, "partition_measurement_reuse", "measurements_cache_off");
-  const std::string on =
-      value_after(doc, "partition_measurement_reuse", "measurements_cache_on");
-  const double m_off = std::strtod(off.c_str(), nullptr);
-  const double m_on = std::strtod(on.c_str(), nullptr);
-  if (off.empty() || on.empty() || !(m_on < m_off)) {
-    std::fprintf(stderr,
-                 "guard: measurement reuse regressed (cache on %s, off %s)\n",
-                 on.c_str(), off.c_str());
-    ++failures;
-  } else {
-    std::printf("guard: partition reuse %.0f -> %.0f measurements ok\n", m_off,
-                m_on);
-  }
-
-  // The representative partition driver must keep beating the pivot-scan
-  // loop by at least the floor at every benchmarked bank count — a
-  // regression that silently degrades to full scans shows up here even
-  // while both paths stay correct.
-  check_true(doc, "partition_representatives", "ok", failures);
-  const std::string reduction_text =
-      value_after(doc, "partition_representatives", "min_reduction");
-  if (reduction_text.empty()) {
-    std::fprintf(stderr, "guard: partition_representatives.min_reduction "
-                         "missing\n");
-    ++failures;
-  } else {
-    const double reduction = std::strtod(reduction_text.c_str(), nullptr);
-    if (reduction < min_rep_reduction) {
-      std::fprintf(stderr,
-                   "guard: representative partition saves only %.0f%% vs "
-                   "pivot-scan (floor %.0f%%)\n",
-                   reduction * 100.0, min_rep_reduction * 100.0);
-      ++failures;
-    } else {
-      std::printf("guard: representative partition saves %.0f%% "
-                  "(floor %.0f%%) ok\n",
-                  reduction * 100.0, min_rep_reduction * 100.0);
-    }
-  }
-
-  // The designed bit-probe engine must keep beating the legacy fixed-vote
-  // loops by at least the floor at every benchmarked machine size — a
-  // silent fallback to per-bit voting fails the build even while both
-  // paths classify correctly.
-  check_true(doc, "bit_probe", "ok", failures);
-  const std::string probe_text = value_after(doc, "bit_probe", "min_reduction");
-  if (probe_text.empty()) {
-    std::fprintf(stderr, "guard: bit_probe.min_reduction missing\n");
-    ++failures;
-  } else {
-    const double reduction = std::strtod(probe_text.c_str(), nullptr);
-    if (reduction < min_probe_reduction) {
-      std::fprintf(stderr,
-                   "guard: designed probes save only %.0f%% vs the legacy "
-                   "vote loops (floor %.0f%%)\n",
-                   reduction * 100.0, min_probe_reduction * 100.0);
-      ++failures;
-    } else {
-      std::printf("guard: designed probes save %.0f%% (floor %.0f%%) ok\n",
-                  reduction * 100.0, min_probe_reduction * 100.0);
-    }
-  }
-
+  for (const gate_row& row : kGates) failures += check(doc, row, smoke) ? 0 : 1;
   if (failures > 0) {
     std::fprintf(stderr, "guard: %d check(s) failed on %s\n", failures,
                  path.c_str());

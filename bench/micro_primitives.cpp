@@ -4,13 +4,11 @@
 // These measure *host* cost, bounding how long the table/figure harnesses
 // take to run — the virtual-time numbers in Fig. 2 are independent.
 //
-// On top of the google-benchmark suite, main() runs two tracked
-// comparisons and emits them as machine-readable BENCH_micro.json:
-//   * function detection on a 16-bank-bit synthetic config — the GF(2)
-//     null-space path against the legacy 2^16 mask enumeration, and
-//   * the batched measurement engine against a scalar measure_pair loop.
-// Flags: --smoke (skip the google-benchmark suite, shrink the synthetic
-// config for CI), --out=PATH (default BENCH_micro.json).
+// On top of the google-benchmark suite, main() runs the tracked sections
+// and emits them as machine-readable BENCH_micro.json (gated by
+// bench_guard, bench/guard_micro.cpp). Flags: --smoke (skip the
+// google-benchmark suite, shrink the synthetic config for CI),
+// --out=PATH (default BENCH_micro.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -140,7 +138,7 @@ void BM_AddressSelection(benchmark::State& state) {
 BENCHMARK(BM_AddressSelection)->Unit(benchmark::kMillisecond);
 
 void BM_XorMaskSweep(benchmark::State& state) {
-  // The legacy Algorithm 3 inner loop: all masks over 14 bank bits against
+  // The paper's Algorithm 3 inner loop: all masks over 14 bank bits against
   // one pile of 256 addresses.
   const std::vector<unsigned> bits{7,  8,  9,  12, 13, 14, 15,
                                    16, 17, 18, 19, 20, 21, 22};
@@ -184,7 +182,7 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
 /// Synthetic config: `width` bank bits feeding log2(banks) random
 /// independent functions; piles enumerate every bank-bit combination,
 /// grouped by true bank — the shape partition hands to Algorithm 3, at a
-/// size (16 bank bits on the default run) where the 2^B enumeration hurts.
+/// size (16 bank bits on the default run) where a 2^B enumeration hurts.
 struct synthetic_piles {
   std::vector<unsigned> bank_bits;
   gf2::matrix functions;
@@ -221,47 +219,26 @@ synthetic_piles make_synthetic(unsigned width, unsigned function_count,
 
 void emit_bench_json(const std::string& path, bool smoke) {
   // 16 bank bits / 8 functions on the full run: the channel+rank+bank-group
-  // shape of a large dual-channel DDR4 config, where the 2^16 enumeration
-  // pays 255 surviving masks against every pile member.
+  // shape of a large dual-channel DDR4 config. The virtual time charged
+  // (one ns per row operation) is deterministic and gated by a ceiling;
+  // the wall time is min-of-3, since the run is sub-millisecond.
   const unsigned width = smoke ? 14 : 16;
   const unsigned functions = smoke ? 6 : 8;
   const synthetic_piles s = make_synthetic(width, functions, 42);
 
-  core::function_config nullspace_cfg{};
-  core::function_config oracle_cfg{};
-  oracle_cfg.use_nullspace = false;
-
-  // Min-of-3 wall times: the nullspace run is sub-millisecond on the
-  // smoke config, so a single scheduler stall would sink the CI guard's
-  // speedup floor with no code regression. Both runs are deterministic,
-  // so the min is the honest host cost.
   sim::virtual_clock nullspace_clock;
-  core::function_outcome fast;
+  core::function_outcome detected;
   double nullspace_wall_s = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     sim::virtual_clock clock;
     const auto t0 = std::chrono::steady_clock::now();
-    fast = core::detect_functions(s.piles, s.bank_bits, s.bank_count, clock,
-                                  nullspace_cfg);
+    detected =
+        core::detect_functions(s.piles, s.bank_bits, s.bank_count, clock);
     nullspace_wall_s = std::min(nullspace_wall_s, wall_seconds_since(t0));
     nullspace_clock = clock;
   }
-
-  sim::virtual_clock oracle_clock;
-  core::function_outcome slow;
-  double oracle_wall_s = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::virtual_clock clock;
-    const auto t0 = std::chrono::steady_clock::now();
-    slow = core::detect_functions(s.piles, s.bank_bits, s.bank_count, clock,
-                                  oracle_cfg);
-    oracle_wall_s = std::min(oracle_wall_s, wall_seconds_since(t0));
-    oracle_clock = clock;
-  }
-
-  const bool agree = fast.success && slow.success &&
-                     fast.functions == slow.functions &&
-                     gf2::same_span(fast.functions, s.functions);
+  const bool recovered = detected.success &&
+                         gf2::same_span(detected.functions, s.functions);
 
   // Batched engine vs scalar loop, identical seeds: same simulated result,
   // host wall time compared.
@@ -278,9 +255,9 @@ void emit_bench_json(const std::string& path, bool smoke) {
   // embedding (the timing channel) reuses its controller and result
   // buffers across calls, so steady-state throughput — not first-call
   // buffer growth — is the honest comparison, and the min also absorbs
-  // scheduler stalls (the ratio is CI-gated via
-  // bench_guard --min-batch-speedup). Both machines run the identical
-  // three passes, so their virtual clocks stay comparable.
+  // scheduler stalls (the ratio is CI-gated by bench_guard). Both machines
+  // run the identical three passes, so their virtual clocks stay
+  // comparable.
   auto t0 = std::chrono::steady_clock::now();
   double scalar_wall_s = 1e300, batch_wall_s = 1e300;
   sim::machine scalar_machine(spec, 11, sim::timing_profile_for(spec));
@@ -306,44 +283,12 @@ void emit_bench_json(const std::string& path, bool smoke) {
   const std::uint64_t batch_measurements =
       batch_machine.controller().measurement_count();
 
-  // Closed-form access accounting vs the per-access loop oracle: same
-  // batch, same seeds — the results must be bit-identical while the loop
-  // walks 2*rounds row-buffer transitions per measurement. Min-of-3 wall
-  // times on fresh machines per repetition: this ratio is CI-gated and
-  // the closed-form run is only milliseconds, so a single scheduler stall
-  // must not sink the floor.
-  double loop_wall_s = 1e300, closed_wall_s = 1e300;
-  bool accounting_identical = false;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::timing_model loop_timing = sim::timing_profile_for(spec);
-    loop_timing.closed_form_accounting = false;
-    sim::machine loop_machine(spec, 11, loop_timing);
-    t0 = std::chrono::steady_clock::now();
-    const auto loop_results =
-        loop_machine.controller().measure_pairs(pairs, 1000);
-    loop_wall_s = std::min(loop_wall_s, wall_seconds_since(t0));
-
-    sim::machine closed_machine(spec, 11, sim::timing_profile_for(spec));
-    t0 = std::chrono::steady_clock::now();
-    const auto closed_results =
-        closed_machine.controller().measure_pairs(pairs, 1000);
-    closed_wall_s = std::min(closed_wall_s, wall_seconds_since(t0));
-
-    accounting_identical =
-        loop_machine.clock().now_ns() == closed_machine.clock().now_ns();
-    for (std::size_t i = 0; accounting_identical && i < pairs.size(); ++i) {
-      accounting_identical =
-          loop_results[i].mean_access_ns == closed_results[i].mean_access_ns &&
-          loop_results[i].contaminated == closed_results[i].contaminated;
-    }
-  }
-
   // Representative engine vs pivot-scan partition at 8/16/32 banks: same
   // machine, same seed, same pool — only the partition driver differs.
   // The measurement count is the paper's cost metric; `min_reduction` is
   // the smallest relative saving across the bank counts and is CI-gated
-  // (bench_guard --min-rep-reduction), so a regression that silently
-  // falls back to full pivot scans fails the build.
+  // (bench_guard), so a regression that silently falls back to full pivot
+  // scans fails the build.
   struct rep_row {
     unsigned banks = 0;
     std::string machine;
@@ -409,18 +354,16 @@ void emit_bench_json(const std::string& path, bool smoke) {
     min_reduction = std::min(min_reduction, rep_reduction(row));
   }
 
-  // Designed-experiment bit-probe engine vs the legacy per-bit vote loops:
-  // coarse + fine on three machine sizes, same machine/seed/knowledge and
-  // the machine's true bank functions (isolating the probed phases from
-  // partition). The measurement count is the paper's cost metric;
-  // `min_reduction` is CI-gated (bench_guard --min-probe-reduction), so a
-  // regression that silently falls back to fixed-count voting fails the
-  // build.
+  // Designed-experiment bit-probe engine: coarse + fine on three machine
+  // sizes with the machine's true bank functions (isolating the probed
+  // phases from partition). The measurement count is the paper's cost
+  // metric and deterministic, so bench_guard holds each size to a ceiling:
+  // a regression that silently falls back to fixed-count voting (~3x the
+  // measurements) fails the build.
   struct probe_row {
     unsigned banks = 0;
     std::string machine;
-    std::uint64_t legacy_measurements = 0;
-    std::uint64_t designed_measurements = 0;
+    std::uint64_t measurements = 0;
     bool ok = false;
   };
   std::vector<probe_row> probe_rows;
@@ -436,8 +379,7 @@ void emit_bench_json(const std::string& path, bool smoke) {
     probe_row row;
     row.banks = banks;
     row.machine = spec->label();
-    row.ok = true;
-    for (const bool designed : {false, true}) {
+    {
       core::environment env(*spec, 1200 + spec->number);
       auto& mc = env.mach().controller();
       const auto& buffer =
@@ -453,42 +395,26 @@ void emit_bench_json(const std::string& path, bool smoke) {
           core::domain_knowledge::from_system_info(sysinfo::probe(*spec));
       core::measurement_plan plan(channel);
       core::bit_probe_engine engine(plan, buffer);
-      core::coarse_config coarse_cfg{};
-      coarse_cfg.probe.use_designed = designed;
-      core::fine_config fine_cfg{};
-      fine_cfg.probe.use_designed = designed;
       const std::uint64_t before = mc.measurement_count();
-      const auto coarse =
-          core::run_coarse_detection(engine, knowledge, r, coarse_cfg);
+      const auto coarse = core::run_coarse_detection(engine, knowledge, r);
       const auto fine = core::run_fine_detection(
-          engine, knowledge, coarse, spec->mapping.bank_functions(), r,
-          fine_cfg);
-      const std::uint64_t cost = mc.measurement_count() - before;
-      row.ok = row.ok && fine.counts_satisfied &&
+          engine, knowledge, coarse, spec->mapping.bank_functions(), r);
+      row.measurements = mc.measurement_count() - before;
+      row.ok = fine.counts_satisfied &&
                fine.row_bits == spec->mapping.row_bits() &&
                fine.column_bits == spec->mapping.column_bits();
-      (designed ? row.designed_measurements : row.legacy_measurements) = cost;
     }
     probe_rows.push_back(std::move(row));
   }
-  const auto probe_reduction = [](const probe_row& row) {
-    return 1.0 - static_cast<double>(row.designed_measurements) /
-                     static_cast<double>(
-                         std::max<std::uint64_t>(row.legacy_measurements, 1));
-  };
-  double probe_min_reduction = 1.0;
   bool probe_ok = !probe_rows.empty();
-  for (const probe_row& row : probe_rows) {
-    probe_ok = probe_ok && row.ok;
-    probe_min_reduction = std::min(probe_min_reduction, probe_reduction(row));
-  }
+  for (const probe_row& row : probe_rows) probe_ok = probe_ok && row.ok;
 
   // Hot-path throughput: simulated measurements per second through each
   // layer of the batch-native stack — pure SoA decode, the full batched
   // measure (decode + latency model), and the plan-mediated vote path — at
   // three batch sizes. Min-of-3 on fresh machines per repetition;
   // min_mps_100k (the slower of decode/measure on the mid tier) is
-  // CI-gated (bench_guard --min-hot-throughput).
+  // CI-gated (bench_guard).
   struct hot_row {
     const char* suffix;
     std::size_t pairs = 0;
@@ -548,11 +474,11 @@ void emit_bench_json(const std::string& path, bool smoke) {
   const double min_mps_100k =
       std::min(hot_rows[1].decode_mps, hot_rows[1].measure_mps);
 
-  // Noise sampling: the legacy sequential mt19937 gaussian (per-call
-  // normal_distribution construction — the use_counter_rng=false stream)
-  // vs the counter stream's fixed-consumption inverse-CDF sampler.
-  // Draws/s, min-of-3; the ratio is CI-gated (bench_guard
-  // --min-noise-speedup) so the hot-path win cannot silently erode.
+  // Noise sampling: the sequential mt19937 gaussian (rng::gaussian, per-call
+  // normal_distribution construction — the simulator's noise source before
+  // counter streams) vs the counter stream's fixed-consumption inverse-CDF
+  // sampler. Draws/s, min-of-3; the ratio is CI-gated by bench_guard so
+  // the hot-path win cannot silently erode.
   const std::size_t noise_draws = smoke ? (1u << 20) : (1u << 22);
   double legacy_draw_s = 1e300, counter_draw_s = 1e300;
   {
@@ -684,10 +610,11 @@ void emit_bench_json(const std::string& path, bool smoke) {
 
   // Measurement-reuse scheduler: the same full pipeline run with the
   // verdict cache on vs off — the measurement *count* is the paper's cost
-  // metric, the wall times bound the host cost. Min-of-3 on fresh
-  // environments per repetition: the wall ratio is CI-gated
-  // (bench_guard --min-reuse-wall-speedup) as the whole-pipeline proof
-  // that the plan's bookkeeping costs less than the measurements it saves.
+  // metric, the wall times bound the host cost. Min-of-15 on fresh
+  // environments, the arms alternating which runs first: the wall ratio is
+  // CI-gated (bench_guard) as the whole-pipeline proof that the plan's
+  // bookkeeping costs less than the measurements it saves, and a single
+  // preempted run on a busy host must not decide it.
   // Machine No.2 in both modes: its cache-on run saves >4x measurements,
   // so the wall ratio is signal, not scheduler jitter. (The full pipeline
   // costs ~15ms now that region construction is extent-based — cheap
@@ -697,16 +624,18 @@ void emit_bench_json(const std::string& path, bool smoke) {
   cache_off.plan.reuse_verdicts = false;
   core::dramdig_report report_off, report_on;
   double reuse_off_wall_s = 1e300, reuse_on_wall_s = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    core::environment env_off(reuse_spec, 2000 + reuse_spec.number);
-    t0 = std::chrono::steady_clock::now();
-    report_off = core::dramdig_tool(env_off, cache_off).run();
-    reuse_off_wall_s = std::min(reuse_off_wall_s, wall_seconds_since(t0));
-
-    core::environment env_on(reuse_spec, 2000 + reuse_spec.number);
-    t0 = std::chrono::steady_clock::now();
-    report_on = core::dramdig_tool(env_on).run();
-    reuse_on_wall_s = std::min(reuse_on_wall_s, wall_seconds_since(t0));
+  for (int rep = 0; rep < 15; ++rep) {
+    for (const bool reuse : {rep % 2 == 0, rep % 2 != 0}) {
+      core::environment env(reuse_spec, 2000 + reuse_spec.number);
+      t0 = std::chrono::steady_clock::now();
+      if (reuse) {
+        report_on = core::dramdig_tool(env).run();
+        reuse_on_wall_s = std::min(reuse_on_wall_s, wall_seconds_since(t0));
+      } else {
+        report_off = core::dramdig_tool(env, cache_off).run();
+        reuse_off_wall_s = std::min(reuse_off_wall_s, wall_seconds_since(t0));
+      }
+    }
   }
 
   // Fleet warm start: the same machine run four ways through the mapping
@@ -716,10 +645,9 @@ void emit_bench_json(const std::string& path, bool smoke) {
   // bit classification, functions, bank count), and span-only warm (the
   // same sibling against a v1-era entry stripped of evidence — the
   // pre-evidence warm path, kept as the contrast run). Two acceptance
-  // metrics: a verify hit must cost >=80% fewer measurements
-  // (bench_guard --min-warm-reduction) and an evidence-carrying warm run
-  // >=50% fewer (--min-warm-evidence-reduction), both while reproducing
-  // the stored mapping bit-identically. Machine No.1 is the fleet's
+  // metrics, both gated by bench_guard: a verify hit must cost >=80% fewer
+  // measurements and an evidence-carrying warm run >=50% fewer, both while
+  // reproducing the stored mapping bit-identically. Machine No.1 is the fleet's
   // WORST warm case (smallest pool, so the partition stratification
   // never fires) — a floor that holds here holds fleet-wide.
   const auto fleet_spec = dram::machine_by_number(1);
@@ -789,13 +717,9 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.key("function_count").value(std::uint64_t{functions});
   w.key("bank_count").value(std::uint64_t{s.bank_count});
   w.key("pile_count").value(s.piles.size());
-  w.key("enumeration_wall_s").value(oracle_wall_s);
   w.key("nullspace_wall_s").value(nullspace_wall_s);
-  w.key("wall_speedup").value(oracle_wall_s /
-                              std::max(nullspace_wall_s, 1e-9));
-  w.key("enumeration_virtual_ns").value(oracle_clock.now_ns());
   w.key("nullspace_virtual_ns").value(nullspace_clock.now_ns());
-  w.key("identical_functions").value(agree);
+  w.key("recovered_functions").value(recovered);
   w.end_object();
   w.key("batched_measurement").begin_object();
   w.key("pair_count").value(pair_count);
@@ -863,13 +787,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
       .value(overhead_off_s / std::max(overhead_on_s, 1e-9));
   w.key("expected_below_one").value(true);
   w.end_object();
-  w.key("measurement_accounting").begin_object();
-  w.key("pair_count").value(pair_count);
-  w.key("loop_wall_s").value(loop_wall_s);
-  w.key("closed_form_wall_s").value(closed_wall_s);
-  w.key("wall_speedup").value(loop_wall_s / std::max(closed_wall_s, 1e-9));
-  w.key("identical_results").value(accounting_identical);
-  w.end_object();
   w.key("partition_representatives").begin_object();
   for (const rep_row& row : rep_rows) {
     const std::string suffix = std::to_string(row.banks);
@@ -885,12 +802,10 @@ void emit_bench_json(const std::string& path, bool smoke) {
   for (const probe_row& row : probe_rows) {
     const std::string suffix = std::to_string(row.banks);
     w.key("machine_" + suffix).value(row.machine);
-    w.key("legacy_" + suffix).value(row.legacy_measurements);
-    w.key("designed_" + suffix).value(row.designed_measurements);
+    w.key("designed_" + suffix).value(row.measurements);
     w.key("ok_" + suffix).value(row.ok);
   }
   w.key("ok").value(probe_ok);
-  w.key("min_reduction").value(probe_min_reduction);
   w.end_object();
   w.key("partition_measurement_reuse").begin_object();
   w.key("machine").value(reuse_spec.label());
@@ -928,11 +843,11 @@ void emit_bench_json(const std::string& path, bool smoke) {
   write_file(path, w.str());
 
   std::printf("\n== tracked comparisons (written to %s) ==\n", path.c_str());
-  std::printf("function detect, %u bank bits: enumeration %.3fs, nullspace "
-              "%.4fs (%.0fx), identical functions: %s\n",
-              width, oracle_wall_s, nullspace_wall_s,
-              oracle_wall_s / std::max(nullspace_wall_s, 1e-9),
-              agree ? "yes" : "NO");
+  std::printf("function detect, %u bank bits: nullspace %.4fs, %llu virtual "
+              "ns, recovered functions: %s\n",
+              width, nullspace_wall_s,
+              static_cast<unsigned long long>(nullspace_clock.now_ns()),
+              recovered ? "yes" : "NO");
   std::printf("batched engine, %zu pairs: scalar %.3fs, batch %.3fs (%.1fx)\n",
               pair_count, scalar_wall_s, batch_wall_s,
               scalar_wall_s / std::max(batch_wall_s, 1e-9));
@@ -948,11 +863,6 @@ void emit_bench_json(const std::string& path, bool smoke) {
               overhead_on_s * 1e9 / static_cast<double>(overhead_verdicts),
               overhead_off_s * 1e9 / static_cast<double>(overhead_verdicts),
               overhead_off_s / std::max(overhead_on_s, 1e-9));
-  std::printf("accounting, %zu pairs: access loop %.3fs, closed form %.4fs "
-              "(%.0fx), identical results: %s\n",
-              pair_count, loop_wall_s, closed_wall_s,
-              loop_wall_s / std::max(closed_wall_s, 1e-9),
-              accounting_identical ? "yes" : "NO");
   for (const rep_row& row : rep_rows) {
     std::printf("partition at %u banks (%s): pivot-scan %llu, representative "
                 "%llu measurements (-%.0f%%)%s\n",
@@ -962,12 +872,11 @@ void emit_bench_json(const std::string& path, bool smoke) {
                 100.0 * rep_reduction(row), row.ok ? "" : " [FAILED]");
   }
   for (const probe_row& row : probe_rows) {
-    std::printf("coarse+fine at %u banks (%s): legacy votes %llu, designed "
-                "probes %llu measurements (-%.0f%%)%s\n",
+    std::printf("coarse+fine at %u banks (%s): designed probes %llu "
+                "measurements%s\n",
                 row.banks, row.machine.c_str(),
-                static_cast<unsigned long long>(row.legacy_measurements),
-                static_cast<unsigned long long>(row.designed_measurements),
-                100.0 * probe_reduction(row), row.ok ? "" : " [FAILED]");
+                static_cast<unsigned long long>(row.measurements),
+                row.ok ? "" : " [FAILED]");
   }
   std::printf("measurement reuse on %s: %llu measurements without cache, "
               "%llu with (%llu saved)\n",

@@ -3,11 +3,11 @@
 //
 // Both phases ask one question many times over: "does delta d flip a row
 // and nothing that changes the bank?" — answered by a majority vote of
-// SBDR measurements on pairs (p, p ^ d). The legacy implementation served
+// SBDR measurements on pairs (p, p ^ d). The straightforward form serves
 // each bit its own fixed-count vote loop over independently random pairs:
-// the row pass alone was ~30 sequential controller batches, every vote
-// paid the full strict price, and no two picks ever coincided, so the
-// measurement-reuse scheduler's memo never fired.
+// the row pass alone is ~30 sequential controller batches, every vote pays
+// the full strict price, and no two picks ever coincide, so the
+// measurement-reuse scheduler's memo never fires.
 //
 // The engine turns a whole phase into designed rounds:
 //   * All candidate deltas' experiments are planned up front; per round,
@@ -27,11 +27,9 @@
 //     rounds cannot flip the majority, instead of always burning
 //     probe_config::votes strict measurements.
 //
-// The legacy per-bit loops survive bit-for-bit behind
-// probe_config::use_designed = false as the differential oracle (the
-// use_nullspace / use_representatives / closed_form_accounting house
-// pattern); tests/core/test_bit_probe.cpp pins both modes to identical
-// classifications on every paper preset and on randomized noisy seeds.
+// tests/core/test_bit_probe.cpp keeps the fixed-vote loop as a test-local
+// reference and pins the engine to its classifications on every paper
+// preset and on randomized noisy seeds.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +46,8 @@
 namespace dramdig::core {
 
 struct probe_config {
-  /// Master switch: false replays the legacy per-bit fixed-vote loops
-  /// bit-for-bit (sequential experiments, `votes` independent random
-  /// pairs each, one strict batch per bit) as the differential oracle.
-  bool use_designed = true;
-  /// Maximum pairs voted per experiment; the majority decides. Designed
-  /// mode stops a stream early once the remainder cannot flip it.
+  /// Maximum pairs voted per experiment; the majority decides. A stream
+  /// stops early once the remainder cannot flip it.
   unsigned votes = 7;
   /// Random bases tried per pair when the shared base cannot serve a
   /// delta (its partner page is not backed by the buffer).
@@ -84,8 +78,7 @@ struct probe_stats {
   std::uint64_t priors_refuted = 0;    ///< priors dropped on a disagreeing vote
 };
 
-/// One designed round, as streamed to the round hook (legacy mode emits
-/// nothing — the oracle replays the silent pre-engine loops).
+/// One designed round, as streamed to the round hook.
 struct probe_round_event {
   std::string_view stage;        ///< caller label ("coarse.row", "fine", ...)
   unsigned round = 0;            ///< round index within this run
@@ -115,8 +108,7 @@ class bit_probe_engine {
   /// prior settles immediately (the votes are strict-grade, so the early
   /// verdict is as sound as the full majority); a disagreeing vote drops
   /// the prior for that experiment and the standard majority decides.
-  /// Legacy mode (use_designed = false) ignores priors entirely — it is
-  /// the differential oracle. priors must be empty or match deltas.size().
+  /// priors must be empty or match deltas.size().
   [[nodiscard]] std::vector<std::optional<bool>> run(
       std::span<const std::uint64_t> deltas,
       std::span<const std::optional<bool>> priors, const probe_config& config,
@@ -127,8 +119,8 @@ class bit_probe_engine {
                                             const probe_config& config, rng& r,
                                             std::string_view stage = "probe");
 
-  /// Per-round progress hook (designed mode only); dramdig_tool forwards
-  /// these into its phase-event stream.
+  /// Per-round progress hook; dramdig_tool forwards these into its
+  /// phase-event stream.
   void set_round_hook(round_callback hook) { on_round_ = std::move(hook); }
 
   [[nodiscard]] const probe_stats& stats() const noexcept { return stats_; }
@@ -138,14 +130,6 @@ class bit_probe_engine {
   }
 
  private:
-  [[nodiscard]] std::vector<std::optional<bool>> run_legacy(
-      std::span<const std::uint64_t> deltas, const probe_config& config,
-      rng& r);
-  [[nodiscard]] std::vector<std::optional<bool>> run_designed(
-      std::span<const std::uint64_t> deltas,
-      std::span<const std::optional<bool>> priors, const probe_config& config,
-      rng& r, std::string_view stage);
-
   measurement_plan& plan_;
   const os::mapping_region& buffer_;
   probe_stats stats_;

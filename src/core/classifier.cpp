@@ -27,7 +27,7 @@ partition_outcome bank_classifier::partition(std::vector<std::uint64_t> pool,
 }
 
 // ---------------------------------------------------------------------------
-// Legacy pivot-scan loop (paper Algorithm 2, the differential oracle).
+// Pivot-scan loop (paper Algorithm 2): the sole driver with the cache off.
 // Preserved bit-for-bit from the pre-engine partition_pool: same rng draw
 // sequence, same plan calls, same acceptance rules.
 
@@ -243,6 +243,7 @@ partition_outcome bank_classifier::representative_partition(
   bool trusted = false;
   gf2::matrix basis;
   std::vector<std::uint64_t> ids(n, 0);
+  gf2::matrix ids_basis;  // the basis `ids` was computed under
   std::unordered_map<std::uint64_t, int> id_to_class;
   const auto id_of = [&](std::uint64_t addr) {
     std::uint64_t id = 0;
@@ -251,21 +252,29 @@ partition_outcome bank_classifier::representative_partition(
     }
     return id;
   };
+  // Classes only ever grow by appending members (and new classes append
+  // to classes_), so the difference basis is folded incrementally: each
+  // refresh reduces just the members added since the last one. Only its
+  // span matters below, and that is the span of every difference.
+  gf2::matrix diff_basis;
+  std::vector<std::size_t> folded;  // per class: members already folded
   const auto refresh_prediction = [&]() {
     trusted = false;
     id_to_class.clear();
     if (want == 0) return;
-    gf2::matrix diff_basis;
-    for (const bank_class& c : classes_) {
-      const std::uint64_t base = c.members.front();
-      for (std::size_t i = 1; i < c.members.size(); ++i) {
-        std::uint64_t d = (c.members[i] ^ base) & support;
+    folded.resize(classes_.size(), 1);
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      const std::vector<std::uint64_t>& members = classes_[c].members;
+      const std::uint64_t base = members.front();
+      for (std::size_t i = folded[c]; i < members.size(); ++i) {
+        std::uint64_t d = (members[i] ^ base) & support;
         for (const std::uint64_t b : diff_basis) {
           const int pivot_bit = 63 - std::countl_zero(b);
           if (pivot_bit >= 0 && ((d >> pivot_bit) & 1u)) d ^= b;
         }
         if (d != 0) diff_basis.push_back(d);
       }
+      folded[c] = members.size();
     }
     basis = classes_.empty() ? gf2::matrix{}
                              : gf2::nullspace(diff_basis, support);
@@ -295,7 +304,12 @@ partition_outcome bank_classifier::representative_partition(
       basis = std::move(hint);
     }
     trusted = true;
-    for (std::size_t i = 0; i < n; ++i) ids[i] = id_of(pool[i]);
+    // Once trusted the basis rarely moves, so the pool's ids are only
+    // recomputed when it does.
+    if (basis != ids_basis) {
+      for (std::size_t i = 0; i < n; ++i) ids[i] = id_of(pool[i]);
+      ids_basis = basis;
+    }
     for (std::size_t c = 0; c < classes_.size(); ++c) {
       id_to_class.emplace(id_of(classes_[c].members.front()),
                           static_cast<int>(c));

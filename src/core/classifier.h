@@ -63,7 +63,7 @@ class bank_classifier {
 
   /// Partition `pool` into same-bank piles (paper Algorithm 2 semantics:
   /// delta window on pile sizes, per_threshold stop). Dispatches to the
-  /// representative driver or the legacy pivot-scan loop per
+  /// representative driver or the pivot-scan loop per
   /// partition_config::use_representatives; the class directory persists
   /// across calls until clear().
   [[nodiscard]] partition_outcome partition(std::vector<std::uint64_t> pool,

@@ -11,8 +11,7 @@
 // Both passes are served by the designed-experiment bit-probe engine: the
 // whole pass is planned up front and voted in cross-bit rounds (one
 // controller batch per round, pairs designed around shared bases, early
-// vote termination), with the legacy per-bit loops behind
-// probe_config::use_designed = false as the differential oracle.
+// vote termination).
 #pragma once
 
 #include <cstdint>

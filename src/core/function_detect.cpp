@@ -14,18 +14,6 @@ namespace dramdig::core {
 
 namespace {
 
-/// Does `mask` XOR to the same bit on every address of the pile?
-bool constant_on_pile(std::uint64_t mask,
-                      const std::vector<std::uint64_t>& pile,
-                      std::uint64_t& checks) {
-  const unsigned want = parity(pile.front(), mask);
-  for (std::size_t i = 1; i < pile.size(); ++i) {
-    ++checks;
-    if (parity(pile[i], mask) != want) return false;
-  }
-  return true;
-}
-
 /// Bank ids assigned by `funcs` to each pile's pivot; valid numbering means
 /// all distinct, and covering 0..#banks-1 when every bank has a pile. A
 /// partition that produced fewer than half the banks carries too little
@@ -49,10 +37,6 @@ bool numbers_piles(const std::vector<std::uint64_t>& funcs,
   }
   return true;
 }
-
-}  // namespace
-
-namespace {
 
 /// The null-space candidate search. Every pile member's XOR difference to
 /// the pile's pivot, restricted to the bank-bit support, is one row of a
@@ -109,22 +93,8 @@ function_outcome detect_functions(
   const unsigned want = log2_exact(bank_count);
   std::uint64_t checks = 0;
 
-  std::vector<std::uint64_t> candidates;
-  if (config.use_nullspace) {
-    candidates = nullspace_candidates(piles, mask_of_bits(bank_bits), checks);
-  } else {
-    // Legacy oracle — gen_xor_masks(B): every combination of bank bits,
-    // 1 bit .. all bits, kept when constant on every pile.
-    for_each_bit_combination(
-        bank_bits, 1, static_cast<unsigned>(bank_bits.size()),
-        [&](std::uint64_t mask) {
-          for (const auto& pile : piles) {
-            if (!constant_on_pile(mask, pile, checks)) return true;  // next
-          }
-          candidates.push_back(mask);
-          return true;
-        });
-  }
+  const std::vector<std::uint64_t> candidates =
+      nullspace_candidates(piles, mask_of_bits(bank_bits), checks);
   out.raw_candidates = candidates.size();
   clock.advance_ns(static_cast<std::uint64_t>(
       static_cast<double>(checks) * config.cpu_ns_per_check));

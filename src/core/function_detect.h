@@ -1,8 +1,12 @@
 // Step 2 phase 3: bank address function detection (paper Algorithm 3).
 //
-// Candidate functions are XOR masks over the detected bank bits, tried
-// from one bit up to all of them. A mask that evaluates to a constant
-// parity on every address of every pile is a candidate; candidates that
+// Candidate functions are XOR masks over the detected bank bits. A mask
+// that evaluates to a constant parity on every address of every pile is a
+// candidate — the paper enumerates all 2^|bank_bits| masks; here the
+// complete candidate set is computed as the GF(2) null space of the piles'
+// XOR-difference matrix (O(pool * |bank_bits|) row operations; the
+// enumeration survives as the brute-force reference in
+// tests/core/test_function_detect.cpp). Candidates that
 // are linear combinations of fewer-bit candidates are redundant (GF(2)
 // reduction implements the paper's prioritize + remove_redundant); and the
 // surviving log2(#banks)-sized basis must number the piles 0..#banks-1
@@ -21,14 +25,6 @@ struct function_config {
   /// Virtual CPU time charged per parity evaluation / GF(2) row operation;
   /// keeps Fig. 2 honest about the software cost of the search.
   double cpu_ns_per_check = 1.0;
-  /// Default path: reduce each pile's XOR differences (restricted to the
-  /// bank-bit support) to a GF(2) row-echelon basis; a mask is constant on
-  /// a pile iff it annihilates that difference space, so the complete
-  /// candidate set is the null space of the stacked difference matrix —
-  /// O(pool * |bank_bits|) row operations instead of 2^|bank_bits| mask
-  /// enumerations. Setting this false selects the legacy enumeration,
-  /// retained as a differential-test oracle.
-  bool use_nullspace = true;
 };
 
 struct function_outcome {

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "util/expect.h"
 
@@ -25,12 +26,7 @@ measurement_plan::measurement_plan(timing::channel& channel, plan_config config)
 
 void measurement_plan::warm_start(std::size_t expected_addresses) {
   if (expected_addresses == 0) return;
-  if (config_.use_arena_index) {
-    idx_.reserve(expected_addresses);
-  } else {
-    node_.reserve(expected_addresses);
-    witnesses_.reserve(expected_addresses);
-  }
+  idx_.reserve(expected_addresses);
   root_cache_.reserve(expected_addresses);
   root_stamp_.reserve(expected_addresses);
 }
@@ -38,36 +34,24 @@ void measurement_plan::warm_start(std::size_t expected_addresses) {
 void measurement_plan::reset() {
   uf_ = union_find{};
   idx_.clear();
-  node_.clear();
-  witnesses_.clear();
-  strict_memo_.clear();
   // Node ids restart from zero: a bumped epoch keeps the root cache from
   // ever serving a pre-reset entry.
   ++root_epoch_;
 }
 
 std::size_t measurement_plan::node_of(std::uint64_t addr) {
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find_or_create(addr);
-    std::size_t n = idx_.node(rec);
-    if (n == plan_index::npos) {
-      n = uf_.make_set();
-      idx_.set_node(rec, n);
-    }
-    return n;
+  const std::size_t rec = idx_.find_or_create(addr);
+  std::size_t n = idx_.node(rec);
+  if (n == plan_index::npos) {
+    n = uf_.make_set();
+    idx_.set_node(rec, n);
   }
-  const auto [it, inserted] = node_.try_emplace(addr, 0);
-  if (inserted) it->second = uf_.make_set();
-  return it->second;
+  return n;
 }
 
 std::size_t measurement_plan::node_if_known(std::uint64_t addr) const {
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find(addr);
-    return rec == plan_index::npos ? npos : idx_.node(rec);
-  }
-  const auto it = node_.find(addr);
-  return it == node_.end() ? npos : it->second;
+  const std::size_t rec = idx_.find(addr);
+  return rec == plan_index::npos ? npos : idx_.node(rec);
 }
 
 std::size_t measurement_plan::cached_root(std::size_t node) {
@@ -85,38 +69,21 @@ std::size_t measurement_plan::cached_root(std::size_t node) {
 bool measurement_plan::witness_copy(std::uint64_t addr,
                                     std::vector<std::uint64_t>& out) {
   out.clear();
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find(addr);
-    if (rec == plan_index::npos) return false;
-    const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
-    if (ws.empty()) return false;  // a node-only record has no list yet
-    out.assign(ws.begin(), ws.end());
-    return true;
-  }
-  const auto it = witnesses_.find(addr);
-  if (it == witnesses_.end()) return false;
-  out.assign(it->second.begin(), it->second.end());
+  const std::size_t rec = idx_.find(addr);
+  if (rec == plan_index::npos) return false;
+  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
+  if (ws.empty()) return false;  // a node-only record has no list yet
+  out.assign(ws.begin(), ws.end());
   return true;
 }
 
 void measurement_plan::witness_touch(std::uint64_t addr, std::uint64_t pivot) {
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find(addr);
-    DRAMDIG_EXPECTS(rec != plan_index::npos);
-    const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i] == pivot) {
-        idx_.witness_move_to_back(rec, i);
-        return;
-      }
-    }
-    return;
-  }
-  std::vector<std::uint64_t>& list = witnesses_.find(addr)->second;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i] == pivot) {
-      list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
-      list.push_back(pivot);
+  const std::size_t rec = idx_.find(addr);
+  DRAMDIG_EXPECTS(rec != plan_index::npos);
+  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    if (ws[i] == pivot) {
+      idx_.witness_move_to_back(rec, i);
       return;
     }
   }
@@ -124,18 +91,12 @@ void measurement_plan::witness_touch(std::uint64_t addr, std::uint64_t pivot) {
 
 int measurement_plan::memo_find(std::uint64_t a, std::uint64_t b) const {
   const sim::addr_pair key = canonical(a, b);
-  if (config_.use_arena_index) return idx_.memo_find(key.first, key.second);
-  const auto it = strict_memo_.find(key);
-  return it == strict_memo_.end() ? -1 : it->second;
+  return idx_.memo_find(key.first, key.second);
 }
 
 void measurement_plan::memo_store(std::uint64_t a, std::uint64_t b, char val) {
   const sim::addr_pair key = canonical(a, b);
-  if (config_.use_arena_index) {
-    idx_.memo_store(key.first, key.second, val);
-  } else {
-    strict_memo_[key] = val;
-  }
+  idx_.memo_store(key.first, key.second, val);
 }
 
 pair_relation measurement_plan::relation(std::uint64_t a, std::uint64_t b) {
@@ -165,31 +126,21 @@ void measurement_plan::record_negative(std::uint64_t pivot,
   // list doubles as the exact-pair memo. No dedupe needed: scans only
   // measure pairs the cache could not answer, so a recorded pair is
   // always new.
-  if (config_.use_arena_index) {
-    const std::size_t rec = idx_.find_or_create(partner);
-    if (config_.max_witnesses != 0 &&
-        idx_.witnesses(rec).size() >= config_.max_witnesses) {
-      // LRU eviction: the front is the entry that least recently answered
-      // a query (hits rotate to the back).
-      idx_.witness_pop_front(rec);
-      ++stats_.witnesses_evicted;
-    }
-    idx_.witness_push(rec, pivot);
-  } else {
-    std::vector<std::uint64_t>& list = witnesses_[partner];
-    if (config_.max_witnesses != 0 && list.size() >= config_.max_witnesses) {
-      list.erase(list.begin());
-      ++stats_.witnesses_evicted;
-    }
-    list.push_back(pivot);
+  const std::size_t rec = idx_.find_or_create(partner);
+  if (config_.max_witnesses != 0 &&
+      idx_.witnesses(rec).size() >= config_.max_witnesses) {
+    // LRU eviction: the front is the entry that least recently answered a
+    // query (hits rotate to the back).
+    idx_.witness_pop_front(rec);
+    ++stats_.witnesses_evicted;
   }
+  idx_.witness_push(rec, pivot);
   ++stats_.negatives_recorded;
 }
 
 bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
   // Work on a copy of x's list: arena spans die on any witness push, and
-  // the derivation below records negatives. The copy is scratch-backed and
-  // identical in content to the legacy in-place walk.
+  // the derivation below records negatives. The copy is scratch-backed.
   std::vector<std::uint64_t>& ws = scratch_.witness_buf;
   if (!witness_copy(x, ws)) return false;
   // Exact pair measured (or previously derived): reuse that verdict. The

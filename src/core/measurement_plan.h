@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/plan_index.h"
@@ -71,14 +70,6 @@ struct plan_config {
   /// 0 = unbounded (the pre-cap behavior). The default comfortably holds
   /// one rejecting pivot per bank on every paper machine.
   std::size_t max_witnesses = 96;
-  /// Storage backend: true (default) keeps the node/witness/strict-memo
-  /// tables in the arena-backed open-addressing index (core/plan_index.h —
-  /// one hash lookup per address, no per-address heap vectors); false
-  /// restores the std::unordered_map implementation. Both are bit-identical
-  /// in every observable (verdicts, eviction order, stats counters) — the
-  /// map backend survives as the differential oracle, same shape as the
-  /// other oracle flags.
-  bool use_arena_index = true;
 };
 
 struct plan_stats {
@@ -244,15 +235,12 @@ class measurement_plan {
   /// Union-find root with batch-level caching: within one epoch (no merges
   /// since) each node resolves its root at most once, so the stage-0 loops
   /// of classify_pairs/probe_pairs/classify_partners pay one find per
-  /// unique address per call instead of one per pair. Node ids are
-  /// identical across backends (only node_of assigns them, in first-sight
-  /// order), so the cache is backend-agnostic; any merge bumps the epoch.
+  /// unique address per call instead of one per pair. Any merge bumps the
+  /// epoch.
   [[nodiscard]] std::size_t cached_root(std::size_t node);
 
-  // Backend-branching accessors: every node/witness/memo touch funnels
-  // through these so the arena and map implementations stay observably
-  // identical (LRU order, eviction, stats — all decided here, not in the
-  // storage).
+  // Node/witness/memo accessors over the arena index: LRU order, eviction
+  // and stats are decided here, not in the storage.
   /// Copy addr's witness list (oldest first) into `out`. Returns true when
   /// the address has a list. The copy is deliberate: arena spans die on
   /// any witness push, and callers loop over one list while recording
@@ -288,32 +276,13 @@ class measurement_plan {
 
   union_find uf_;
 
-  /// Arena-backed storage (plan_config::use_arena_index, the default):
-  /// node ids, witness lists and the strict memo in flat open-addressing
-  /// tables — one hash lookup per address per batch.
+  /// Node ids, witness lists and the strict memo in flat open-addressing
+  /// tables — one hash lookup per address per batch. Each address's
+  /// witness list holds the pivots that measured it not-SBDR, in LRU order
+  /// (back = most recently recorded or consulted) — one entry per scan or
+  /// vote that rejected the address, so the lists stay short and double as
+  /// the exact-pair negative memo. Bounded by plan_config::max_witnesses.
   plan_index idx_;
-
-  // Legacy map backend (use_arena_index = false), kept as the differential
-  // oracle the arena is pinned bit-identical against.
-  std::unordered_map<std::uint64_t, std::size_t> node_;
-  /// Pivots that measured the key not-SBDR, in LRU order (back = most
-  /// recently recorded or consulted) — one entry per scan or vote that
-  /// rejected the address, so the lists stay short and double as the
-  /// exact-pair negative memo (a hash set over all pairs costs more to
-  /// maintain than these scans ever save). Bounded by
-  /// plan_config::max_witnesses with least-recently-used eviction.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> witnesses_;
-
-  struct pair_key_hash {
-    std::size_t operator()(const sim::addr_pair& p) const noexcept {
-      const std::uint64_t h = (p.first * 0x9e3779b97f4a7c15ull) ^
-                              (p.second + 0x9e3779b97f4a7c15ull +
-                               (p.first << 6) + (p.first >> 2));
-      return static_cast<std::size_t>(h * 0xff51afd7ed558ccdull);
-    }
-  };
-  /// Exact-pair memo of strict verdicts (canonical min/max key).
-  std::unordered_map<sim::addr_pair, char, pair_key_hash> strict_memo_;
 
   /// Batch-level root cache: root_stamp_[node] == root_epoch_ means
   /// root_cache_[node] holds the node's current root. Epoch bumps on every

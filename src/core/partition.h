@@ -7,8 +7,8 @@
 //    and each unassigned address is classified against one representative
 //    per open class — with a second-representative fallback for same-row
 //    misses and a fresh-pivot founder scan only to open new classes;
-//  * the paper's literal pivot-scan loop (use_representatives = false),
-//    kept bit-for-bit as the differential oracle: repeatedly pick a
+//  * the paper's literal pivot-scan loop (use_representatives = false,
+//    and the only driver when the reuse cache is off): repeatedly pick a
 //    pivot, measure it against the remaining pool, and peel off its
 //    same-bank pile.
 // Noise tolerance is built in twice, exactly as the paper describes: a
@@ -55,10 +55,10 @@ struct partition_config {
   unsigned prescreen_sample = 64;
   double prescreen_z = 2.5;  ///< binomial slack multiplier for rejections
   /// Representative-based classification engine (the default). false runs
-  /// the legacy pivot-scan loop — the differential oracle, preserved
-  /// bit-for-bit (same rng draws, same measurement sequence). The engine
-  /// needs the measurement-reuse cache; with plan_config::reuse_verdicts
-  /// off it falls back to the pivot-scan loop.
+  /// the paper's literal Algorithm 2 pivot-scan loop. The engine needs the
+  /// measurement-reuse cache; with plan_config::reuse_verdicts off it falls
+  /// back to the pivot-scan loop, which is therefore also the only driver
+  /// of every cache-off run (and not just a reference).
   bool use_representatives = true;
   /// Row-distinct representatives kept per class. 2 is the sweet spot: an
   /// address can share a row with at most one of them, so the second

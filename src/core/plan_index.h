@@ -20,10 +20,9 @@
 //  * an insert-only open-addressing pair-memo table for strict verdicts.
 //
 // The index is storage only: LRU order, eviction, stats and the derivation
-// rules stay in measurement_plan, which funnels every access through
-// backend-branching helpers so the legacy map implementation remains
-// available as a differential oracle (plan_config::use_arena_index, same
-// shape as the other oracle flags).
+// rules stay in measurement_plan, which funnels every access through a few
+// accessor helpers. The golden transcripts in tests/golden (plan_mixed,
+// plan_lru) pin its observable behaviour.
 //
 // Mutation invalidates views: any witness_push may grow the arena, so a
 // span returned by witnesses() is valid only until the next push on ANY

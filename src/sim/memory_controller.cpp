@@ -20,17 +20,14 @@ constexpr std::size_t kParallelDecodeThreshold = 4096;
 memory_controller::memory_controller(const dram::address_mapping& truth,
                                      timing_model timing, virtual_clock& clock,
                                      rng noise_rng)
-    : truth_(truth), timing_(timing), clock_(clock), rng_(noise_rng),
+    : truth_(truth), timing_(timing), clock_(clock),
       open_rows_(truth.bank_count()), row_mask_(mask_of_bits(truth.row_bits())),
-      burst_rng_(rng_.fork()) {
+      burst_rng_(noise_rng.fork()) {
   DRAMDIG_EXPECTS(truth_.is_bijective());
-  // Key the counter stream off a *copy* of the noise rng: the key is a
-  // pure function of the machine seed, and rng_ itself consumes nothing —
-  // the legacy (use_counter_rng = false) stream stays bit-for-bit the
-  // historical one.
-  rng key_source = rng_;
-  counter_.key0 = key_source.engine()();
-  counter_.key1 = key_source.engine()();
+  // The counter-stream key is the noise rng's next two words after the
+  // burst fork: a pure function of the machine seed.
+  counter_.key0 = noise_rng.engine()();
+  counter_.key1 = noise_rng.engine()();
   // Schedule the first background-load burst.
   burst_start_ns_ = static_cast<std::uint64_t>(
       -std::log(1.0 - burst_rng_.uniform()) *
@@ -95,13 +92,9 @@ double memory_controller::access(std::uint64_t phys) {
     base = timing_.row_conflict_ns;
     slot.row = row;
   }
-  // Counter mode keys the access's jitter on its own monotone index;
-  // legacy mode draws the shared sequential stream.
-  const double noise =
-      timing_.use_counter_rng
-          ? counter_.gaussian(kAccessNoiseDomain, access_count_, 0.0,
-                              timing_.access_noise_sigma_ns)
-          : rng_.gaussian(0.0, timing_.access_noise_sigma_ns);
+  // The access's jitter is keyed on its own monotone index.
+  const double noise = counter_.gaussian(kAccessNoiseDomain, access_count_,
+                                         0.0, timing_.access_noise_sigma_ns);
   const double latency = std::max(1.0, base + noise);
   clock_.advance_ns(static_cast<std::uint64_t>(
       latency + timing_.clflush_ns + timing_.loop_overhead_ns));
@@ -158,29 +151,9 @@ memory_controller::access_tally memory_controller::tally_closed_form(
   return t;
 }
 
-memory_controller::access_tally memory_controller::tally_access_loop(
-    const decoded_pair& d, unsigned rounds) {
-  access_tally t;
-  for (std::uint64_t i = 0; i < 2ull * rounds; ++i) {
-    const bool second = (i & 1) != 0;
-    const std::uint64_t bank = second ? d.bank2 : d.bank1;
-    const std::uint64_t row = second ? d.row2 : d.row1;
-    open_row& slot = open_rows_[bank];
-    switch (classify(slot, row)) {
-      case touch::hit: ++t.hits; break;
-      case touch::closed: ++t.closed; break;
-      case touch::conflict: ++t.conflicts; break;
-    }
-    slot = {row, true};
-  }
-  return t;
-}
-
 pair_measurement memory_controller::finish_measurement(const decoded_pair& d,
                                                        unsigned rounds) {
-  const access_tally t = timing_.closed_form_accounting
-                             ? tally_closed_form(d, rounds)
-                             : tally_access_loop(d, rounds);
+  const access_tally t = tally_closed_form(d, rounds);
   const double accesses = 2.0 * static_cast<double>(rounds);
   const double mean_base = (static_cast<double>(t.hits) * timing_.row_hit_ns +
                             static_cast<double>(t.closed) * timing_.row_closed_ns +
@@ -191,29 +164,19 @@ pair_measurement memory_controller::finish_measurement(const decoded_pair& d,
   // Mean of 2*rounds iid Gaussian samples around the loop's mean latency,
   // plus heavy-tail contamination: a scheduler preemption or refresh burst
   // inflates part of the loop; modelled as a uniform positive shift whose
-  // rate rises sharply during background-load bursts. Counter mode serves
-  // all three draws from the measurement's one counter block (pure in the
-  // measurement index — the batch tail evaluates the identical block in
-  // parallel); legacy mode replays the historical sequential stream.
+  // rate rises sharply during background-load bursts. All three draws come
+  // from the measurement's one counter block (pure in the measurement index
+  // — the batch tail evaluates the identical block in parallel).
   const double sigma_mean = timing_.access_noise_sigma_ns / std::sqrt(accesses);
-  double observed;
-  bool contaminated = false;
   const double contamination =
       effective_contamination_at(clock_.now_ns());
-  if (timing_.use_counter_rng) {
-    const counter_block blk =
-        counter_.block(kMeasureNoiseDomain, measurement_count_);
-    observed = mean_base + sigma_mean * counter_gaussian(blk.v0);
-    if (counter_unit(blk.v2) < contamination) {
-      observed += counter_unit(blk.v3) * timing_.contamination_max_ns;
-      contaminated = true;
-    }
-  } else {
-    observed = mean_base + rng_.gaussian(0.0, sigma_mean);
-    if (rng_.chance(contamination)) {
-      observed += rng_.uniform() * timing_.contamination_max_ns;
-      contaminated = true;
-    }
+  const counter_block blk =
+      counter_.block(kMeasureNoiseDomain, measurement_count_);
+  double observed = mean_base + sigma_mean * counter_gaussian(blk.v0);
+  bool contaminated = false;
+  if (counter_unit(blk.v2) < contamination) {
+    observed += counter_unit(blk.v3) * timing_.contamination_max_ns;
+    contaminated = true;
   }
 
   // Charge the virtual clock for the whole measurement loop. Each access
@@ -274,11 +237,10 @@ const memory_controller::decoded_soa& memory_controller::decode_pairs(
   return d;
 }
 
-void memory_controller::finish_batch_counter(
-    std::span<const addr_pair> pairs, unsigned rounds,
-    std::vector<pair_measurement>& out) {
+void memory_controller::finish_batch(unsigned rounds,
+                                     std::vector<pair_measurement>& out) {
   const decoded_soa& d = soa_;
-  const std::size_t n = pairs.size();
+  const std::size_t n = out.size();
   tail_.mean_base.resize(n);
   tail_.contam_p.resize(n);
 
@@ -304,9 +266,7 @@ void memory_controller::finish_batch_counter(
   for (std::size_t i = 0; i < n; ++i) {
     const decoded_pair dp{d.bank[2 * i], d.row[2 * i], d.bank[2 * i + 1],
                           d.row[2 * i + 1], 0.0};
-    const access_tally t = timing_.closed_form_accounting
-                               ? tally_closed_form(dp, rounds)
-                               : tally_access_loop(dp, rounds);
+    const access_tally t = tally_closed_form(dp, rounds);
     tail_.mean_base[i] =
         (static_cast<double>(t.hits) * timing_.row_hit_ns +
          static_cast<double>(t.closed) * timing_.row_closed_ns +
@@ -351,59 +311,9 @@ void memory_controller::measure_pairs(std::span<const addr_pair> pairs,
   DRAMDIG_EXPECTS(rounds > 0);
   // Decode is a pure function of the address, so the staged SoA path below
   // agrees bit for bit with a fused per-pair decode+finish loop.
-  const decoded_soa& d = decode_pairs(pairs);
+  (void)decode_pairs(pairs);
   out.resize(pairs.size());
-  if (timing_.use_counter_rng) {
-    finish_batch_counter(pairs, rounds, out);
-    return;
-  }
-  if (!timing_.closed_form_accounting) {
-    // The access-loop oracle is the slow differential path; per-pair
-    // dispatch cost is noise next to its 2*rounds iterations.
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const decoded_pair dp{d.bank[2 * i], d.row[2 * i], d.bank[2 * i + 1],
-                            d.row[2 * i + 1], 0.0};
-      out[i] = finish_measurement(dp, rounds);
-    }
-    return;
-  }
-  // Fused legacy batch tail: the same arithmetic and rng draw order as
-  // finish_measurement, with every batch-invariant term (noise sigma of
-  // the sample mean, the three per-access clock charges) hoisted out of
-  // the per-pair loop. Strictly sequential — every gaussian/chance call
-  // advances the one shared mt19937 stream.
-  const double accesses = 2.0 * static_cast<double>(rounds);
-  const double sigma_mean = timing_.access_noise_sigma_ns / std::sqrt(accesses);
-  const auto charge = [this](double base) {
-    return static_cast<std::uint64_t>(base + timing_.clflush_ns +
-                                      timing_.loop_overhead_ns);
-  };
-  const std::uint64_t hit_charge = charge(timing_.row_hit_ns);
-  const std::uint64_t closed_charge = charge(timing_.row_closed_ns);
-  const std::uint64_t conflict_charge = charge(timing_.row_conflict_ns);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const decoded_pair dp{d.bank[2 * i], d.row[2 * i], d.bank[2 * i + 1],
-                          d.row[2 * i + 1], 0.0};
-    const access_tally t = tally_closed_form(dp, rounds);
-    const double mean_base =
-        (static_cast<double>(t.hits) * timing_.row_hit_ns +
-         static_cast<double>(t.closed) * timing_.row_closed_ns +
-         static_cast<double>(t.conflicts) * timing_.row_conflict_ns) /
-        accesses;
-    double observed = mean_base + rng_.gaussian(0.0, sigma_mean);
-    bool contaminated = false;
-    if (rng_.chance(effective_contamination_at(clock_.now_ns()))) {
-      observed += rng_.uniform() * timing_.contamination_max_ns;
-      contaminated = true;
-    }
-    clock_.advance_ns(t.hits * hit_charge + t.closed * closed_charge +
-                      t.conflicts * conflict_charge);
-    access_count_ += 2ull * rounds;
-    ++measurement_count_;
-    open_rows_[dp.bank1] = {dp.row1, true};
-    open_rows_[dp.bank2] = {dp.row2, true};
-    out[i] = {std::max(1.0, observed), contaminated};
-  }
+  finish_batch(rounds, out);
 }
 
 std::vector<pair_measurement> memory_controller::measure_pairs(

@@ -69,24 +69,21 @@ class memory_controller {
 
   /// Service a whole batch of pair measurements in one pass. The address
   /// decodes (bank/row extraction) run through the SoA path above, sharded
-  /// across the persistent worker pool. The tail depends on the noise
-  /// mode: under timing_model::use_counter_rng (default) a cheap
-  /// sequential pass folds the state-carrying reductions in submission
-  /// order (row-buffer evolution, per-measurement clock prefix, burst
-  /// schedule, counters) and the noise itself — a pure function of
-  /// (machine seed, measurement index) through the counter stream — is
-  /// then evaluated shard-parallel; with the flag off the historical
-  /// mt19937 tail replays strictly sequentially. Either way `out` is
-  /// bit-identical to calling measure_pair once per element, on any
-  /// thread count. The out-param form lets hot callers reuse one result
+  /// across the persistent worker pool. A cheap sequential pass then folds
+  /// the state-carrying reductions in submission order (row-buffer
+  /// evolution, per-measurement clock prefix, burst schedule, counters)
+  /// and the noise itself — a pure function of (machine seed, measurement
+  /// index) through the counter stream — is evaluated shard-parallel.
+  /// `out` is bit-identical to calling measure_pair once per element, on
+  /// any thread count. The out-param form lets hot callers reuse one result
   /// buffer across thousands of batches.
   void measure_pairs(std::span<const addr_pair> pairs, unsigned rounds,
                      std::vector<pair_measurement>& out);
   [[nodiscard]] std::vector<pair_measurement> measure_pairs(
       std::span<const addr_pair> pairs, unsigned rounds);
 
-  /// Inject the worker pool servicing the parallel decode and counter-rng
-  /// tail shards (nullptr restores the process-wide pool). The shard
+  /// Inject the worker pool servicing the parallel decode and noise tail
+  /// shards (nullptr restores the process-wide pool). The shard
   /// *results* never depend on the pool; benches inject sized pools to
   /// measure thread scaling, tests to prove they may.
   void set_worker_pool(worker_pool* pool) noexcept { pool_ = pool; }
@@ -133,9 +130,7 @@ class memory_controller {
   };
 
   /// How many of a measurement's 2*rounds accesses landed in each
-  /// row-buffer situation. Produced either analytically (closed form) or
-  /// by replaying the access loop; the stochastic tail only consumes the
-  /// counts, so both producers yield bit-identical measurements.
+  /// row-buffer situation; the stochastic tail only consumes the counts.
   struct access_tally {
     std::uint64_t hits = 0;
     std::uint64_t closed = 0;
@@ -153,26 +148,23 @@ class memory_controller {
   [[nodiscard]] decoded_pair decode_pair(std::uint64_t p1,
                                          std::uint64_t p2) const;
 
-  /// O(1) tally: the first access to each address is classified against
-  /// the pre-measurement row-buffer state, every later access sits in the
-  /// alternating steady state.
+  /// O(1) tally: the alternating 2*rounds access loop visits at most three
+  /// row-buffer situations — the first access to each address is
+  /// classified against the pre-measurement state, every later access sits
+  /// in the alternating steady state. (tests/sim/test_access_accounting.cpp
+  /// holds it to a per-access replay of the loop.)
   [[nodiscard]] access_tally tally_closed_form(const decoded_pair& d,
                                                unsigned rounds) const;
 
-  /// O(rounds) oracle: walk all 2*rounds alternating accesses through the
-  /// live row-buffer table, updating it per access.
-  [[nodiscard]] access_tally tally_access_loop(const decoded_pair& d,
-                                               unsigned rounds);
-
   /// The stochastic tail of one measurement: noise draws, clock charge,
-  /// counters and row-buffer update. Must run in submission order (in
-  /// counter mode only its draws are order-free; the state folds are not).
+  /// counters and row-buffer update. Must run in submission order (only
+  /// its draws are order-free; the state folds are not).
   [[nodiscard]] pair_measurement finish_measurement(const decoded_pair& d,
                                                     unsigned rounds);
 
-  /// The counter-mode batch tail: sequential state fold, parallel noise.
-  void finish_batch_counter(std::span<const addr_pair> pairs, unsigned rounds,
-                            std::vector<pair_measurement>& out);
+  /// The batch tail over the decoded SoA scratch (one result per decoded
+  /// pair, already sized in `out`): sequential state fold, parallel noise.
+  void finish_batch(unsigned rounds, std::vector<pair_measurement>& out);
 
   /// Noise domains of the counter stream — distinct second counter words,
   /// so the access-noise and measurement-noise sequences never collide.
@@ -184,8 +176,7 @@ class memory_controller {
   dram::address_mapping truth_;
   timing_model timing_;
   virtual_clock& clock_;
-  rng rng_;
-  noise_stream counter_;  ///< counter-mode noise; keyed off rng_'s seed
+  noise_stream counter_;  ///< all access/measurement noise; seed-keyed
   std::vector<open_row> open_rows_;  ///< flat table indexed by flat bank id
   std::uint64_t row_mask_ = 0;       ///< OR of the mapping's row bits
   decoded_soa soa_;                  ///< batch decode scratch, reused
@@ -193,7 +184,7 @@ class memory_controller {
   std::uint64_t access_count_ = 0;
   std::uint64_t measurement_count_ = 0;
 
-  /// Counter-tail scratch (reused): per-measurement noiseless mean and
+  /// Batch-tail scratch (reused): per-measurement noiseless mean and
   /// effective contamination rate, produced by the sequential fold and
   /// consumed by the parallel noise pass.
   struct tail_scratch {

@@ -113,6 +113,14 @@ std::optional<std::uint64_t> solve(const matrix& a, std::uint64_t b,
 }
 
 matrix nullspace(const matrix& a, std::uint64_t support_mask) {
+  // Row operations preserve the null space (and every linear relation
+  // between columns, so the kernel basis below is unchanged), and the
+  // reduced system has at most 64 rows: each column then packs into one
+  // 64-bit word indexed by row.
+  matrix rows;
+  rows.reserve(a.size());
+  for (const std::uint64_t r : a) rows.push_back(r & support_mask);
+  const matrix reduced = row_echelon(std::move(rows));
   // Columns = support bits; rows = functionals. Compute the kernel by
   // echelonizing the transposed system column by column.
   const std::vector<unsigned> cols = bits_of_mask(support_mask);
@@ -120,8 +128,8 @@ matrix nullspace(const matrix& a, std::uint64_t support_mask) {
   // functional i uses c.
   std::vector<std::uint64_t> colvec(cols.size(), 0);
   for (std::size_t ci = 0; ci < cols.size(); ++ci) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if ((a[i] >> cols[ci]) & 1u) colvec[ci] |= std::uint64_t{1} << i;
+    for (std::size_t i = 0; i < reduced.size(); ++i) {
+      if ((reduced[i] >> cols[ci]) & 1u) colvec[ci] |= std::uint64_t{1} << i;
     }
   }
   // Track combinations: comb[ci] records which original columns were folded

@@ -59,13 +59,13 @@ using matrix = std::vector<std::uint64_t>;
 /// recovers the *entire* candidate-mask set from a pile's XOR-difference
 /// matrix — a mask is constant on a pile iff it annihilates every
 /// difference, so the candidates are exactly this null space.
+///
+/// `a` may hold any number of rows (DRAMA's difference lists run to
+/// hundreds): they are echelon-reduced over the support first, which keeps
+/// the null space and leaves at most 64 independent rows. The returned
+/// basis therefore depends only on the row space of `a` over the support,
+/// not on which rows span it.
 [[nodiscard]] matrix nullspace(const matrix& a, std::uint64_t support_mask);
-
-/// Legacy spelling of nullspace().
-[[nodiscard]] inline matrix null_space(const matrix& a,
-                                       std::uint64_t support_mask) {
-  return nullspace(a, support_mask);
-}
 
 /// Every nonzero vector of the row space of `basis` (which need not be
 /// reduced): 2^rank - 1 vectors, enumerated by Gray code so each step costs

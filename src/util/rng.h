@@ -55,17 +55,10 @@ class rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Normal deviate.
-  ///
-  /// std::normal_distribution is the one *stateful* distribution used here
-  /// (Marsaglia polar: each refill produces two deviates and caches the
-  /// spare). A hoisted member distribution would serve every second call
-  /// from that spare and consume zero engine draws for it — changing the
-  /// engine's draw sequence relative to the historical per-call form, which
-  /// the differential oracles (timing_model::use_counter_rng = false et al.)
-  /// pin bit-for-bit. The construction cost therefore cannot be hoisted
-  /// sequence-compatibly; hot paths that need cheap gaussians use the
-  /// counter-based noise_stream below instead.
+  /// Normal deviate, one fresh std::normal_distribution per call. This is
+  /// the sequential baseline BENCH_micro's noise_sampling section measures
+  /// the counter-based noise_stream below against; the simulator's hot
+  /// paths draw their gaussians from noise_stream.
   [[nodiscard]] double gaussian(double mean, double sigma) {
     return std::normal_distribution<double>(mean, sigma)(engine_);
   }

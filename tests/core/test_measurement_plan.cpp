@@ -399,148 +399,5 @@ TEST(MeasurementPlan, WitnessListsAreBoundedWithLruEviction) {
             pair_relation::cross_pile);
 }
 
-TEST(MeasurementPlan, ArenaIndexMatchesMapBackendOnMixedWorkload) {
-  // The arena index (use_arena_index, the default) is pinned bit-identical
-  // to the unordered_map oracle: same verdicts, class structure, stats
-  // counters and controller traffic on the same workload, stage by stage.
-  pipeline_fixture fa(1), fb(1);
-  const auto pool = pool_for(fa, {6, 14, 15, 16, 17, 18, 19});
-  measurement_plan arena(fa.channel, {.use_arena_index = true});
-  measurement_plan legacy(fb.channel, {.use_arena_index = false});
-
-  const auto same_state = [&](const char* stage) {
-    SCOPED_TRACE(stage);
-    EXPECT_EQ(arena.stats().measurements_issued,
-              legacy.stats().measurements_issued);
-    EXPECT_EQ(arena.stats().measurements_saved,
-              legacy.stats().measurements_saved);
-    EXPECT_EQ(arena.stats().classes_merged, legacy.stats().classes_merged);
-    EXPECT_EQ(arena.stats().negatives_recorded,
-              legacy.stats().negatives_recorded);
-    EXPECT_EQ(arena.stats().prescreen_rejections,
-              legacy.stats().prescreen_rejections);
-    EXPECT_EQ(arena.stats().witnesses_evicted,
-              legacy.stats().witnesses_evicted);
-    EXPECT_EQ(arena.class_count(), legacy.class_count());
-    EXPECT_EQ(fa.env.mach().controller().measurement_count(),
-              fb.env.mach().controller().measurement_count());
-  };
-
-  // Pivot scans: fill classes and witness lists, then rescan from cache.
-  for (std::size_t p = 0; p < 3; ++p) {
-    std::vector<std::uint64_t> partners;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i != p) partners.push_back(pool[i]);
-    }
-    const auto got_a = arena.classify_partners(pool[p], partners,
-                                               default_scan());
-    const auto got_b = legacy.classify_partners(pool[p], partners,
-                                                default_scan());
-    EXPECT_EQ(got_a.member, got_b.member);
-    EXPECT_EQ(got_a.reused, got_b.reused);
-  }
-  same_state("after pivot scans");
-
-  // Random representative votes (anchor, subject).
-  rng votes_rng(424242);
-  std::vector<sim::addr_pair> votes;
-  while (votes.size() < 200) {
-    const std::uint64_t a = pool[votes_rng.below(pool.size())];
-    const std::uint64_t b = pool[votes_rng.below(pool.size())];
-    if (a != b) votes.emplace_back(a, b);
-  }
-  const auto va = arena.classify_pairs(votes, /*verify_positives=*/true);
-  const auto vb = legacy.classify_pairs(votes, /*verify_positives=*/true);
-  EXPECT_EQ(va.member, vb.member);
-  EXPECT_EQ(va.reused, vb.reused);
-  same_state("after classify_pairs");
-
-  // Designed-probe votes (pairs must be distinct within the call).
-  std::vector<sim::addr_pair> probes;
-  for (std::size_t i = 0; i + 1 < pool.size() && probes.size() < 64; i += 2) {
-    probes.emplace_back(pool[i], pool[i + 1]);
-  }
-  const auto pa = arena.probe_pairs(probes);
-  const auto pb = legacy.probe_pairs(probes);
-  EXPECT_EQ(pa.sbdr, pb.sbdr);
-  EXPECT_EQ(pa.reused, pb.reused);
-  same_state("after probe_pairs");
-
-  // Strict batch with in-batch duplicates (symmetric order, too).
-  std::vector<sim::addr_pair> strict(votes.begin(), votes.begin() + 32);
-  strict.push_back(strict.front());
-  strict.emplace_back(strict.front().second, strict.front().first);
-  EXPECT_EQ(arena.is_sbdr_strict_batch(strict),
-            legacy.is_sbdr_strict_batch(strict));
-  same_state("after strict batch");
-
-  // Every cached relation agrees (relation() never measures).
-  for (std::size_t i = 0; i + 1 < pool.size(); ++i) {
-    ASSERT_EQ(arena.relation(pool[i], pool[i + 1]),
-              legacy.relation(pool[i], pool[i + 1]));
-    ASSERT_EQ(arena.known_strict_positive(pool[i], pool[i + 1]),
-              legacy.known_strict_positive(pool[i], pool[i + 1]));
-  }
-  same_state("after relation sweep");
-
-  // reset() drops both backends to the same empty state; the rescan
-  // re-measures identically.
-  arena.reset();
-  legacy.reset();
-  EXPECT_EQ(arena.class_count(), 0u);
-  EXPECT_EQ(legacy.class_count(), 0u);
-  const std::vector<std::uint64_t> partners(pool.begin() + 1, pool.end());
-  const auto ra = arena.classify_partners(pool.front(), partners,
-                                          default_scan());
-  const auto rb = legacy.classify_partners(pool.front(), partners,
-                                           default_scan());
-  EXPECT_EQ(ra.member, rb.member);
-  EXPECT_EQ(ra.reused, 0u);
-  EXPECT_EQ(rb.reused, 0u);
-  same_state("after reset and rescan");
-}
-
-TEST(MeasurementPlan, ArenaIndexMatchesMapBackendUnderLruEviction) {
-  // max_witnesses = 2 forces constant LRU churn: the eviction order (which
-  // cached relation degrades back to unknown, and hence which rescans pay
-  // for re-measurement) must match the map oracle exactly.
-  pipeline_fixture fa(1), fb(1);
-  const auto pool = pool_for(fa, {6, 14, 15, 16, 17, 18, 19});
-  measurement_plan arena(fa.channel,
-                         {.max_witnesses = 2, .use_arena_index = true});
-  measurement_plan legacy(fb.channel,
-                          {.max_witnesses = 2, .use_arena_index = false});
-
-  rng pivots(7);
-  for (unsigned round = 0; round < 6; ++round) {
-    const std::size_t p = pivots.below(pool.size());
-    std::vector<std::uint64_t> partners;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i != p) partners.push_back(pool[i]);
-    }
-    const auto got_a = arena.classify_partners(pool[p], partners,
-                                               default_scan());
-    const auto got_b = legacy.classify_partners(pool[p], partners,
-                                                default_scan());
-    EXPECT_EQ(got_a.member, got_b.member) << "round " << round;
-    EXPECT_EQ(got_a.reused, got_b.reused) << "round " << round;
-  }
-  EXPECT_GT(arena.stats().witnesses_evicted, 0u);
-  EXPECT_EQ(arena.stats().witnesses_evicted,
-            legacy.stats().witnesses_evicted);
-  EXPECT_EQ(arena.stats().measurements_saved,
-            legacy.stats().measurements_saved);
-  EXPECT_EQ(arena.stats().negatives_recorded,
-            legacy.stats().negatives_recorded);
-  EXPECT_EQ(fa.env.mach().controller().measurement_count(),
-            fb.env.mach().controller().measurement_count());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    for (std::size_t j = i + 1; j < pool.size() && j < i + 8; ++j) {
-      ASSERT_EQ(arena.relation(pool[i], pool[j]),
-                legacy.relation(pool[i], pool[j]));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace dramdig::core

@@ -11,6 +11,8 @@
 #include <string>
 #include <utility>
 
+#include <unistd.h>
+
 #include "core/environment.h"
 #include "dram/presets.h"
 #include "store/verify.h"
@@ -24,8 +26,11 @@ namespace {
 /// A unique temp path per test; removed on destruction.
 class temp_path {
  public:
+  // The pid keeps concurrent copies of this suite (the sanitizer jobs run
+  // several at once) off each other's files.
   explicit temp_path(const std::string& name)
-      : path_(testing::TempDir() + "dramdig_store_" + name + ".json") {
+      : path_(testing::TempDir() + "dramdig_store_" + name + "_" +
+              std::to_string(getpid()) + ".json") {
     std::remove(path_.c_str());
   }
   ~temp_path() { std::remove(path_.c_str()); }

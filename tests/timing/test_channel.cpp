@@ -124,9 +124,11 @@ TEST(Channel, AdaptiveCalibratorStopsEarlyWithSaneThreshold) {
   EXPECT_FALSE(f.ch.is_sbdr(0, 1ull << 6));
 }
 
-TEST(Channel, FixedScheduleFlagRestoresFullBudget) {
+TEST(Channel, CalibrationBudgetBoundsTheAdaptiveSchedule) {
+  // A stability band no estimate sequence can meet: the calibrator must
+  // stop at exactly the calibration_pairs budget.
   channel_config cfg{};
-  cfg.adaptive_calibration = false;
+  cfg.calibration_stability = -1.0;
   channel_fixture f(8, {}, cfg);
   (void)f.ch.calibrate(f.pool(512, 9));
   EXPECT_EQ(f.ch.calibration_pairs_used(), 1200u);

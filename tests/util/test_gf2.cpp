@@ -146,7 +146,7 @@ TEST(Gf2NullSpace, VectorsAnnihilateAllFunctionals) {
                      fn({7, 8, 9, 12, 13, 18, 19})};
   const std::uint64_t support =
       fn({7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19});
-  const matrix kernel = null_space(funcs, support);
+  const matrix kernel = nullspace(funcs, support);
   // dim(kernel) = |support| - rank = 11 - 3 = 8.
   EXPECT_EQ(rank(kernel), 8u);
   for (std::uint64_t v : kernel) {
@@ -158,7 +158,33 @@ TEST(Gf2NullSpace, VectorsAnnihilateAllFunctionals) {
 
 TEST(Gf2NullSpace, FullRankSquareSystemHasTrivialKernel) {
   const matrix funcs{fn({0}), fn({1}), fn({2})};
-  EXPECT_TRUE(null_space(funcs, fn({0, 1, 2})).empty());
+  EXPECT_TRUE(nullspace(funcs, fn({0, 1, 2})).empty());
+}
+
+TEST(Gf2NullSpace, AcceptsMoreThan64Rows) {
+  // DRAMA's difference lists run to hundreds of rows. Rows past the 64th
+  // must count like any other (the column packing is per reduced row):
+  // the first 64 rows repeat one difference, the rest mix in two more.
+  const std::uint64_t support = fn({7, 8, 9, 12, 13, 14, 15, 16, 17, 18});
+  const matrix gens{fn({7, 12}), fn({8, 13, 14}), fn({15, 18})};
+  matrix rows(64, gens[0]);
+  rng r(64);
+  for (int i = 0; i < 136; ++i) {
+    std::uint64_t row = 0;
+    for (const std::uint64_t g : gens) {
+      if (r.below(2) != 0) row ^= g;
+    }
+    rows.push_back(row ^ gens[1]);
+  }
+  ASSERT_GT(rows.size(), 64u);
+  ASSERT_EQ(rank(rows), 3u);
+  const matrix kernel = nullspace(rows, support);
+  EXPECT_EQ(rank(kernel), 10u - 3u);
+  for (const std::uint64_t v : kernel) {
+    EXPECT_EQ(v & ~support, 0u);
+    for (const std::uint64_t row : rows) EXPECT_EQ(parity(v, row), 0u);
+  }
+  EXPECT_TRUE(same_span(kernel, nullspace(gens, support)));
 }
 
 TEST(Gf2EnumerateSpan, ListsEveryNonzeroVectorOnce) {
