@@ -80,6 +80,9 @@ constexpr gate_row kGates[] = {
     {"partition_measurement_reuse", "measurement_reduction", gate::floor,
      1.01, 1.01},
     {"partition_measurement_reuse", "wall_speedup", gate::floor, 0.98, 0.98},
+    // Simulated kernel allocate() wall, 16 GiB over 4 GiB at fragmentation
+    // 0.6: ~4.7 when linear in the free list, ~16 when quadratic.
+    {"os_allocate", "scaling_16g_vs_4g", gate::ceiling, 8, 8},
     // Fleet store on No.1 (the worst warm case): a verify hit must save
     // >=80% of a cold recovery, an evidence warm start >=50%, both with
     // the cold mapping reproduced bit-identically.

@@ -27,6 +27,7 @@
 #include "core/function_detect.h"
 #include "core/probe_util.h"
 #include "dram/presets.h"
+#include "os/physical_memory.h"
 #include "sysinfo/system_info.h"
 #include "sim/machine.h"
 #include "sim/profiles.h"
@@ -638,6 +639,32 @@ void emit_bench_json(const std::string& path, bool smoke) {
     }
   }
 
+  // Simulated kernel allocator: one 0.55 x memory allocate() on a fresh
+  // physical_memory at fragmentation 0.6 (the fragmented_fleet regime),
+  // min-of-7 at 4 and 16 GiB. The 16/4 wall ratio is the complexity gate:
+  // ~4.7 for the linear allocator, ~16 for one that erases each
+  // exhausted extent from the middle of its free list.
+  struct alloc_row {
+    unsigned gib;
+    double wall_s = 1e300;
+    double construct_s = 1e300;
+    std::size_t extents = 0;
+  };
+  alloc_row alloc_rows[] = {{4}, {16}};
+  for (alloc_row& row : alloc_rows) {
+    const std::uint64_t total = std::uint64_t{row.gib} << 30;
+    for (int rep = 0; rep < 7; ++rep) {
+      t0 = std::chrono::steady_clock::now();
+      os::physical_memory pm({.total_bytes = total, .fragmentation = 0.6},
+                             rng(600 + row.gib));
+      row.construct_s = std::min(row.construct_s, wall_seconds_since(t0));
+      t0 = std::chrono::steady_clock::now();
+      const auto extents = pm.allocate(total * 11 / 20);
+      row.wall_s = std::min(row.wall_s, wall_seconds_since(t0));
+      row.extents = extents.size();
+    }
+  }
+
   // Fleet warm start: the same machine run four ways through the mapping
   // store — cold (empty store, full recovery), verify (exact fingerprint
   // hit, a few hundred designed probes), warm (geometry sibling, full
@@ -823,6 +850,17 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.key("wall_speedup")
       .value(reuse_off_wall_s / std::max(reuse_on_wall_s, 1e-9));
   w.end_object();
+  w.key("os_allocate").begin_object();
+  w.key("fragmentation").value(0.6);
+  for (const alloc_row& row : alloc_rows) {
+    const std::string suffix = std::to_string(row.gib) + "g";
+    w.key("wall_ms_" + suffix).value(row.wall_s * 1e3);
+    w.key("construct_ms_" + suffix).value(row.construct_s * 1e3);
+    w.key("extents_" + suffix).value(row.extents);
+  }
+  w.key("scaling_16g_vs_4g")
+      .value(alloc_rows[1].wall_s / std::max(alloc_rows[0].wall_s, 1e-12));
+  w.end_object();
   w.key("fleet_warm_start").begin_object();
   w.key("machine").value(fleet_spec.label());
   w.key("cold_measurements").value(fleet_cold_m);
@@ -901,6 +939,11 @@ void emit_bench_json(const std::string& path, bool smoke) {
               static_cast<double>(decode_addrs) / scalar_decode_s / 1e6,
               scalar_decode_s / std::max(simd_decode_s, 1e-9),
               decode_identical ? "yes" : "NO");
+  std::printf("allocate at fragmentation 0.6: 4 GiB %.2f ms (%zu extents), "
+              "16 GiB %.2f ms (%zu extents), %.1fx\n",
+              alloc_rows[0].wall_s * 1e3, alloc_rows[0].extents,
+              alloc_rows[1].wall_s * 1e3, alloc_rows[1].extents,
+              alloc_rows[1].wall_s / std::max(alloc_rows[0].wall_s, 1e-12));
   std::printf("fleet warm start on %s: cold %llu, verify %llu (-%.0f%%), "
               "warm %llu (-%.0f%%, span-only %llu) measurements, mapping "
               "identical: %s\n",

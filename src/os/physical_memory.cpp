@@ -1,6 +1,7 @@
 #include "os/physical_memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <new>
 
@@ -39,6 +40,14 @@ physical_memory::physical_memory(physical_memory_config config, rng r)
     holes.emplace_back(at, chunk);
     reserved_budget -= chunk;
   }
+  // The fragmentation grid below emits its holes in increasing position,
+  // so only the kernel and reservation holes need sorting; one merge then
+  // orders all.
+  const auto by_position = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(holes.begin(), holes.end(), by_position);
+  const std::ptrdiff_t reserved_holes = std::ssize(holes);
   // Fragmentation pins used pages on a jittered grid whose spacing shrinks
   // exponentially with the level — at 0.1 free runs span tens of MiB, near
   // 1.0 nothing larger than a few hundred KiB survives. Uniform random
@@ -57,7 +66,8 @@ physical_memory::physical_memory(physical_memory_config config, rng r)
       holes.emplace_back(pos, 4 + rng_.below(12));
     }
   }
-  std::sort(holes.begin(), holes.end());
+  std::inplace_merge(holes.begin(), holes.begin() + reserved_holes,
+                     holes.end(), by_position);
 
   // Free list = complement of the holes.
   std::uint64_t cursor = 0;
@@ -73,6 +83,84 @@ std::uint64_t physical_memory::free_bytes() const noexcept {
   for (const extent& e : free_list_) pages += e.page_count;
   return pages * kPageSize;
 }
+
+namespace {
+
+/// Order statistics over the live free-list slots, so exhausted extents
+/// can stay in place as tombstones. Slots are cut into blocks of kBlock;
+/// each block keeps the sorted offsets of its live slots, and a Fenwick
+/// tree over the blocks' live counts finds the block holding the k-th
+/// live slot. kth costs O(log(n / kBlock)), kill O(log(n / kBlock) +
+/// kBlock). Every kill forces a kth, so kth is the hot call: a plain
+/// Fenwick tree over single slots would pay a dependent load per level
+/// of a log2(n)-deep descent for each one.
+class live_slots {
+ public:
+  static constexpr std::size_t kBlock = 256;  // offsets fit a uint8_t
+
+  explicit live_slots(std::size_t n)
+      : offsets_(n),
+        sizes_((n + kBlock - 1) / kBlock),
+        top_(std::bit_ceil(std::max<std::size_t>(sizes_.size(), 1))),
+        tree_(top_ + 1),
+        live_(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      offsets_[i] = static_cast<std::uint8_t>(i % kBlock);
+    }
+    // Linear build of the Fenwick tree over the block counts.
+    for (std::size_t i = 1; i <= top_; ++i) {
+      if (i <= sizes_.size()) {
+        sizes_[i - 1] =
+            static_cast<std::uint16_t>(std::min(kBlock, n - (i - 1) * kBlock));
+        tree_[i] += sizes_[i - 1];
+      }
+      const std::size_t parent = i + (i & -i);
+      if (parent <= top_) tree_[parent] += tree_[i];
+    }
+  }
+
+  [[nodiscard]] std::size_t count() const noexcept { return live_; }
+
+  void kill(std::size_t slot) {
+    const std::size_t block = slot / kBlock;
+    const auto first =
+        offsets_.begin() + static_cast<std::ptrdiff_t>(block * kBlock);
+    const auto last = first + sizes_[block];
+    const auto at =
+        std::lower_bound(first, last, static_cast<std::uint8_t>(slot % kBlock));
+    std::copy(at + 1, last, at);
+    --sizes_[block];
+    for (std::size_t i = block + 1; i <= top_; i += i & -i) --tree_[i];
+    --live_;
+  }
+
+  /// Slot of the k-th live entry, k in [0, count()).
+  [[nodiscard]] std::size_t kth(std::size_t k) const {
+    // Fenwick descent; tree_[top_] counts every live slot, so the search
+    // starts one level below it.
+    std::size_t block = 0;
+    for (std::size_t step = top_ / 2; step > 0; step /= 2) {
+      if (tree_[block + step] <= k) {
+        block += step;
+        k -= tree_[block];
+      }
+    }
+    return block * kBlock + offsets_[block * kBlock + k];
+  }
+
+ private:
+  std::vector<std::uint8_t> offsets_;  ///< per block: live offsets, sorted
+  std::vector<std::uint16_t> sizes_;   ///< live slots per block
+  std::size_t top_;                    ///< power of two >= block count
+  std::vector<std::size_t> tree_;      ///< 1-based Fenwick tree over sizes_
+  std::size_t live_;
+};
+
+bool by_first_pfn(const extent& a, const extent& b) {
+  return a.first_pfn < b.first_pfn;
+}
+
+}  // namespace
 
 std::vector<extent> physical_memory::allocate(std::uint64_t bytes) {
   DRAMDIG_EXPECTS(bytes > 0);
@@ -90,25 +178,31 @@ std::vector<extent> physical_memory::allocate(std::uint64_t bytes) {
       8, static_cast<std::uint64_t>(
              static_cast<double>(kHugePageSize / kPageSize) *
              (1.0 - config_.fragmentation)));
-  std::size_t current = free_list_.size();  // invalid -> pick fresh
+  // An exhausted extent becomes a tombstone (page_count == 0) instead of
+  // being erased; a jump draws among the live extents only, so the k-th
+  // live slot is exactly the extent an erase-compacted list holds at k.
+  live_slots live(free_list_.size());
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t current = kNone;  // no extent yet -> pick fresh
   while (pages_needed > 0) {
-    if (free_list_.empty()) {
-      free(out);
-      throw std::bad_alloc();
-    }
-    if (current >= free_list_.size() || rng_.chance(config_.fragmentation)) {
-      current = rng_.below(free_list_.size());
+    if (current == kNone || rng_.chance(config_.fragmentation)) {
+      // A live current extent means the list is not empty, so this is
+      // the only place exhaustion can show.
+      if (live.count() == 0) {
+        free(out);  // the merge also drops the tombstones
+        throw std::bad_alloc();
+      }
+      current = live.kth(rng_.below(live.count()));
     }
     extent& src = free_list_[current];
     const std::uint64_t take =
         std::min({pages_needed, src.page_count, grab_pages});
-    extent grabbed{src.first_pfn, take};
+    const extent grabbed{src.first_pfn, take};
     src.first_pfn += take;
     src.page_count -= take;
     if (src.page_count == 0) {
-      free_list_.erase(free_list_.begin() +
-                       static_cast<std::ptrdiff_t>(current));
-      current = free_list_.size();  // force re-pick
+      live.kill(current);
+      current = kNone;  // force re-pick
     }
     // Merge into the previous grab when physically adjacent, so callers
     // see true run lengths.
@@ -120,31 +214,8 @@ std::vector<extent> physical_memory::allocate(std::uint64_t bytes) {
     }
     pages_needed -= take;
   }
+  std::erase_if(free_list_, [](const extent& e) { return e.page_count == 0; });
   return out;
-}
-
-void physical_memory::insert_free(extent e) {
-  if (e.page_count == 0) return;
-  auto it = std::lower_bound(free_list_.begin(), free_list_.end(), e,
-                             [](const extent& a, const extent& b) {
-                               return a.first_pfn < b.first_pfn;
-                             });
-  it = free_list_.insert(it, e);
-  // Coalesce with neighbours.
-  if (it != free_list_.begin()) {
-    auto prev = it - 1;
-    if (prev->first_pfn + prev->page_count == it->first_pfn) {
-      prev->page_count += it->page_count;
-      it = free_list_.erase(it) - 1;
-    }
-  }
-  if (it + 1 != free_list_.end()) {
-    auto next = it + 1;
-    if (it->first_pfn + it->page_count == next->first_pfn) {
-      it->page_count += next->page_count;
-      free_list_.erase(next);
-    }
-  }
 }
 
 std::vector<extent> physical_memory::allocate_huge_pages(unsigned count) {
@@ -158,16 +229,26 @@ std::vector<extent> physical_memory::allocate_huge_pages(unsigned count) {
     const std::size_t start = n == 0 ? 0 : rng_.below(n);
     for (std::size_t k = 0; k < n && !found; ++k) {
       const std::size_t idx = (start + k) % n;
-      extent e = free_list_[idx];
+      const extent e = free_list_[idx];
       const std::uint64_t aligned_first =
           (e.first_pfn + huge_pages - 1) / huge_pages * huge_pages;
       if (aligned_first + huge_pages > e.first_pfn + e.page_count) continue;
-      // Split: [e.first, aligned_first) stays free, the run is taken,
-      // the tail is re-inserted.
-      free_list_.erase(free_list_.begin() + static_cast<std::ptrdiff_t>(idx));
-      insert_free({e.first_pfn, aligned_first - e.first_pfn});
-      insert_free({aligned_first + huge_pages,
-                   e.first_pfn + e.page_count - aligned_first - huge_pages});
+      // Split in place: [e.first, aligned_first) and the tail after the
+      // run stay free. The run keeps them apart and the list is
+      // coalesced, so neither piece touches another free extent.
+      const extent head{e.first_pfn, aligned_first - e.first_pfn};
+      const extent tail{aligned_first + huge_pages,
+                        e.first_pfn + e.page_count - aligned_first -
+                            huge_pages};
+      const auto at = free_list_.begin() + static_cast<std::ptrdiff_t>(idx);
+      if (head.page_count > 0) {
+        *at = head;
+        if (tail.page_count > 0) free_list_.insert(at + 1, tail);
+      } else if (tail.page_count > 0) {
+        *at = tail;
+      } else {
+        free_list_.erase(at);
+      }
       out.push_back({aligned_first, huge_pages});
       found = true;
     }
@@ -177,7 +258,29 @@ std::vector<extent> physical_memory::allocate_huge_pages(unsigned count) {
 }
 
 void physical_memory::free(const std::vector<extent>& extents) {
-  for (const extent& e : extents) insert_free(e);
+  // One merge of the sorted returns into the free list, coalescing as it
+  // goes and dropping empty entries (allocate's tombstones among them):
+  // linear in the list, where per-extent insertion is quadratic.
+  std::vector<extent> returned = extents;
+  std::sort(returned.begin(), returned.end(), by_first_pfn);
+  std::vector<extent> merged(free_list_.size() + returned.size());
+  std::merge(free_list_.begin(), free_list_.end(), returned.begin(),
+             returned.end(), merged.begin(), by_first_pfn);
+  std::size_t kept = 0;
+  for (const extent& e : merged) {
+    if (e.page_count == 0) continue;
+    if (kept > 0) {
+      extent& last = merged[kept - 1];
+      DRAMDIG_EXPECTS(last.first_pfn + last.page_count <= e.first_pfn);
+      if (last.first_pfn + last.page_count == e.first_pfn) {
+        last.page_count += e.page_count;
+        continue;
+      }
+    }
+    merged[kept++] = e;
+  }
+  merged.resize(kept);
+  free_list_ = std::move(merged);
 }
 
 }  // namespace dramdig::os

@@ -50,11 +50,13 @@ class physical_memory {
   /// address space. Throws std::bad_alloc when memory is exhausted.
   [[nodiscard]] std::vector<extent> allocate(std::uint64_t bytes);
 
-  /// Allocate one naturally aligned contiguous run (huge-page style).
-  /// Returns an extent of exactly `bytes` aligned to `bytes` granularity,
-  /// or nullopt when no such run is free.
+  /// Allocate up to `count` huge pages: naturally aligned 2 MiB runs,
+  /// one extent each. Returns fewer (possibly none) when no more aligned
+  /// runs are free, like a real THP allocation.
   [[nodiscard]] std::vector<extent> allocate_huge_pages(unsigned count);
 
+  /// Return extents to the free list. They must overlap neither each
+  /// other nor any free frame; a double free is a contract violation.
   void free(const std::vector<extent>& extents);
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept {
@@ -65,10 +67,11 @@ class physical_memory {
  private:
   physical_memory_config config_;
   rng rng_;
-  /// Free extents, kept sorted by first_pfn and coalesced.
+  /// Free extents, kept sorted by first_pfn and coalesced. Between calls
+  /// every entry is non-empty: allocate() leaves exhausted entries in
+  /// place as tombstones (page_count == 0) only while it runs, and drops
+  /// them before it returns or throws.
   std::vector<extent> free_list_;
-
-  void insert_free(extent e);
 };
 
 }  // namespace dramdig::os

@@ -104,5 +104,12 @@ TEST(MeasurementPlan, ArenaIndexMatchesMapBackendUnderLruEviction) {
   expect_matches_golden(file_named("plan_lru"));
 }
 
+// Recorded from the erase-per-exhausted-extent allocator; the
+// order-statistic allocator must hand out the same extents, draw the same
+// rng values and leave the same free list.
+TEST(PhysicalMemory, AllocatorMatchesRecordedExtents) {
+  expect_matches_golden(file_named("os_allocate"));
+}
+
 }  // namespace
 }  // namespace dramdig::golden

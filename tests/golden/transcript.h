@@ -1,6 +1,6 @@
 // Golden transcripts: deterministic JSON records of what the pipeline, the
-// baselines, the measurement plan and the raw controller stream produce
-// for fixed (preset, seed) inputs.
+// baselines, the measurement plan, the raw controller stream and the
+// simulated kernel allocator produce for fixed (preset, seed) inputs.
 //
 // Every count, virtual time and mapping in this project is a pure function
 // of (machine spec, seed, options), so a transcript recorded once pins the
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "core/partition.h"
 #include "core_test_util.h"
 #include "dram/presets.h"
+#include "os/physical_memory.h"
 #include "sim/machine.h"
 #include "sim/profiles.h"
 #include "util/bitops.h"
@@ -399,6 +401,70 @@ inline std::string plan_lru_document() {
   return w.str();
 }
 
+/// FNV digest of an extent list: its length, then every (first_pfn,
+/// page_count) in the order handed out.
+inline std::uint64_t extents_digest(const std::vector<os::extent>& extents) {
+  std::uint64_t h = fnv1a(kFnvBasis, extents.size());
+  for (const os::extent& e : extents) {
+    h = fnv1a(h, e.first_pfn);
+    h = fnv1a(h, e.page_count);
+  }
+  return h;
+}
+
+/// The simulated kernel allocator over sizes x fragmentation levels x
+/// kSeeds: a 0.55 x memory buffer, a free-then-reallocate round, an
+/// over-size request that must throw std::bad_alloc and roll back, three
+/// huge pages, and a small allocation from the restored free list. Pins
+/// every extent, rng draw and free-list state the allocator exposes.
+inline std::string os_allocate_document() {
+  json_writer w;
+  w.begin_object();
+  w.key("cases").begin_array();
+  for (const std::uint64_t gib : {4, 8, 16}) {
+    for (const double fragmentation : {0.0, 0.1, 0.3, 0.6, 0.9, 1.0}) {
+      for (const std::uint64_t seed : kSeeds) {
+        const std::uint64_t total = gib << 30;
+        os::physical_memory pm(
+            {.total_bytes = total, .fragmentation = fragmentation},
+            rng(seed));
+        const std::uint64_t buffer = total * 11 / 20;
+        w.begin_object();
+        w.key("gib").value(gib);
+        w.key("fragmentation").value(fragmentation);
+        w.key("seed").value(seed);
+        w.key("initial_free").value(pm.free_bytes());
+        const auto first = pm.allocate(buffer);
+        w.key("first_extents").value(first.size());
+        w.key("first_digest").value(hex(extents_digest(first)));
+        w.key("free_after_first").value(pm.free_bytes());
+        pm.free(first);
+        w.key("free_after_free").value(pm.free_bytes());
+        const auto second = pm.allocate(buffer);
+        w.key("second_digest").value(hex(extents_digest(second)));
+        bool threw = false;
+        try {
+          (void)pm.allocate(pm.free_bytes() + os::kPageSize);
+        } catch (const std::bad_alloc&) {
+          threw = true;
+        }
+        w.key("over_size_threw").value(threw);
+        w.key("free_after_rollback").value(pm.free_bytes());
+        const auto huge = pm.allocate_huge_pages(3);
+        w.key("huge_pages").value(huge.size());
+        w.key("huge_digest").value(hex(extents_digest(huge)));
+        const auto small = pm.allocate(std::uint64_t{1} << 26);
+        w.key("small_digest").value(hex(extents_digest(small)));
+        w.key("free_at_end").value(pm.free_bytes());
+        w.end_object();
+      }
+    }
+  }
+  w.end_array();
+  w.end_object();
+  return w.str();
+}
+
 /// Every golden file (name without extension) and its builder.
 struct golden_file {
   std::string name;
@@ -419,6 +485,7 @@ inline std::vector<golden_file> golden_files() {
       {"baselines", baselines_document},
       {"plan_mixed", plan_mixed_document},
       {"plan_lru", plan_lru_document},
+      {"os_allocate", os_allocate_document},
   };
 }
 

@@ -87,12 +87,70 @@ TEST(PhysicalMemory, ExhaustionRollsBackPartialGrab) {
   EXPECT_EQ(pm.free_bytes(), before);
 }
 
+/// Fails the test if any frame appears in two extents of `extents`.
+void expect_disjoint(std::vector<extent> extents) {
+  std::sort(extents.begin(), extents.end(),
+            [](const extent& a, const extent& b) {
+              return a.first_pfn < b.first_pfn;
+            });
+  for (std::size_t i = 1; i < extents.size(); ++i) {
+    ASSERT_LE(extents[i - 1].first_pfn + extents[i - 1].page_count,
+              extents[i].first_pfn)
+        << "frame handed out twice";
+  }
+}
+
+std::uint64_t pages_in(const std::vector<extent>& extents) {
+  std::uint64_t pages = 0;
+  for (const auto& e : extents) pages += e.page_count;
+  return pages;
+}
+
+// At 0.9 the free list holds thousands of small extents; a request one
+// page larger than all free memory exhausts every one of them before it
+// throws, and the rollback must return each frame exactly once.
+TEST(PhysicalMemory, BadAllocAfterExhaustingManyExtentsRestoresFreeBytes) {
+  auto pm = make(1ull << 30, 0.9, 12);
+  const auto held = pm.allocate(1ull << 28);
+  const std::uint64_t before = pm.free_bytes();
+  EXPECT_THROW((void)pm.allocate(before + kPageSize), std::bad_alloc);
+  EXPECT_EQ(pm.free_bytes(), before);
+
+  const std::uint64_t half = before / 2 / kPageSize * kPageSize;
+  const auto after = pm.allocate(half);
+  EXPECT_EQ(pages_in(after), half / kPageSize);
+  EXPECT_EQ(pm.free_bytes(), before - half);
+  std::vector<extent> all = held;
+  all.insert(all.end(), after.begin(), after.end());
+  expect_disjoint(all);
+}
+
+TEST(PhysicalMemory, RepeatedFragmentedAllocationsNeverRepeatAFrame) {
+  auto pm = make(4ull << 30, 0.6, 13);
+  std::vector<extent> all;
+  for (int i = 0; i < 6; ++i) {
+    const auto got = pm.allocate(1ull << 29);
+    EXPECT_EQ(pages_in(got), (1ull << 29) / kPageSize);
+    all.insert(all.end(), got.begin(), got.end());
+  }
+  expect_disjoint(all);
+}
+
 TEST(PhysicalMemory, FreeReturnsMemory) {
   auto pm = make(1ull << 28);
   const std::uint64_t before = pm.free_bytes();
   const auto extents = pm.allocate(1ull << 24);
   EXPECT_LT(pm.free_bytes(), before);
   pm.free(extents);
+  EXPECT_EQ(pm.free_bytes(), before);
+}
+
+TEST(PhysicalMemory, DoubleFreeIsAContractViolationThatKeepsTheFreeList) {
+  auto pm = make(1ull << 28, 0.3, 14);
+  const auto extents = pm.allocate(1ull << 24);
+  pm.free(extents);
+  const std::uint64_t before = pm.free_bytes();
+  EXPECT_THROW(pm.free(extents), contract_violation);
   EXPECT_EQ(pm.free_bytes(), before);
 }
 
