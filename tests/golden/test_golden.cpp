@@ -89,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("dramdig_no1", "dramdig_no2", "dramdig_no3",
                       "dramdig_no4", "dramdig_no5", "dramdig_no6",
                       "dramdig_no7", "dramdig_no8", "dramdig_no9",
-                      "baselines"),
+                      "dramdig_warm", "baselines"),
     [](const auto& info) { return info.param; });
 
 // The measurement plan's arena index replaced an unordered_map backend;

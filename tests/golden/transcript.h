@@ -16,6 +16,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/tool.h"
@@ -28,6 +29,7 @@
 #include "sim/machine.h"
 #include "sim/profiles.h"
 #include "util/bitops.h"
+#include "util/gf2.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -88,10 +90,10 @@ inline void write_plan_stats(json_writer& w, const core::plan_stats& s) {
 
 /// One full tool run through the registry, on a fresh environment.
 inline void write_tool_run(json_writer& w, const std::string& tool,
-                           const dram::machine_spec& spec,
-                           std::uint64_t seed) {
+                           const dram::machine_spec& spec, std::uint64_t seed,
+                           const api::tool_options& options = {}) {
   core::environment env(spec, seed);
-  const api::tool_result r = api::make_tool(tool)->run(env);
+  const api::tool_result r = api::make_tool(tool, options)->run(env);
   w.begin_object();
   w.key("tool").value(tool);
   w.key("success").value(r.success);
@@ -248,6 +250,59 @@ inline std::string baselines_document() {
   write_tool_run(w, "drama", dram::machine_by_number(4), 7);
   w.key("xiao");
   write_tool_run(w, "xiao", dram::machine_by_number(4), 7);
+  w.end_object();
+  return w.str();
+}
+
+/// The fleet warm path: DRAMDig on No.9 warm-started from its geometry
+/// sibling No.6, the way mapping_service fills dramdig_config::warm from a
+/// stored entry. The mapping comes from No.6's preset; pool size and
+/// threshold from a cold No.6 run at the same seed. Three priors per seed:
+/// full evidence, span-only (a v1-era entry), and poisoned (one mask with
+/// one bit flipped inside the pool's support, so the span hint, the pool
+/// strata and the bit priors are all refuted mid-run).
+inline std::string dramdig_warm_document() {
+  const dram::machine_spec& sibling = dram::machine_by_number(6);
+  const dram::machine_spec& target = dram::machine_by_number(9);
+  json_writer w;
+  w.begin_object();
+  w.key("machine").value(target.label());
+  w.key("sibling").value(sibling.label());
+  w.key("runs").begin_array();
+  for (const std::uint64_t seed : kSeeds) {
+    core::environment sibling_env(sibling, seed);
+    const api::tool_result cold = api::make_tool("dramdig")->run(sibling_env);
+    core::dramdig_config::warm_hints full;
+    full.bank_functions = sibling.mapping.bank_functions();
+    full.row_bits = sibling.mapping.row_bits();
+    full.column_bits = sibling.mapping.column_bits();
+    full.bank_count = sibling.mapping.bank_count();
+    full.threshold_ns = cold.threshold_ns;
+    full.expected_pool = static_cast<std::size_t>(cold.pool_size);
+    full.function_span = gf2::row_echelon(full.bank_functions);
+    core::dramdig_config::warm_hints span_only;
+    span_only.function_span = full.function_span;
+    span_only.expected_pool = full.expected_pool;
+    core::dramdig_config::warm_hints poisoned = full;
+    poisoned.bank_functions.back() ^= std::uint64_t{1} << 19;
+    poisoned.function_span = gf2::row_echelon(poisoned.bank_functions);
+    const std::pair<const char*, const core::dramdig_config::warm_hints*>
+        priors[] = {{"full", &full}, {"span_only", &span_only},
+                    {"poisoned", &poisoned}};
+    for (const auto& [name, hints] : priors) {
+      core::dramdig_config cfg;
+      cfg.warm = *hints;
+      api::tool_options options;
+      options.with_dramdig(std::move(cfg));
+      w.begin_object();
+      w.key("seed").value(seed);
+      w.key("prior").value(name);
+      w.key("dramdig");
+      write_tool_run(w, "dramdig", target, seed, options);
+      w.end_object();
+    }
+  }
+  w.end_array();
   w.end_object();
   return w.str();
 }
@@ -482,6 +537,7 @@ inline std::vector<golden_file> golden_files() {
       {"dramdig_no7", [] { return dramdig_document(7); }},
       {"dramdig_no8", [] { return dramdig_document(8); }},
       {"dramdig_no9", [] { return dramdig_document(9); }},
+      {"dramdig_warm", dramdig_warm_document},
       {"baselines", baselines_document},
       {"plan_mixed", plan_mixed_document},
       {"plan_lru", plan_lru_document},
