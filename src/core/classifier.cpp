@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <unordered_map>
 
 #include "util/bitops.h"
@@ -209,9 +210,54 @@ partition_outcome bank_classifier::representative_partition(
   std::vector<char> founder_blocked(n, 0);
   std::size_t assigned_count = 0;
 
+  // ---- Per-id worklists (trusted prediction only). ------------------------
+  // A trusted round touches only the addresses of a few predicted ids, so
+  // the pool's open (unassigned) indices are bucketed by id in one flat
+  // array: id k owns open_idx[group_begin[k], group_begin[k] + group_len[k]),
+  // ascending. Entries assigned since the last visit are compacted out
+  // lazily (compact_group); open_count[k] is exact at all times, exhausted
+  // and founder-blocked addresses included. Built with `ids`, i.e. only
+  // when the trusted basis changes.
+  const unsigned want = (bank_count & (bank_count - 1)) == 0
+                            ? log2_exact(bank_count)
+                            : 0;
+  const std::size_t groups = want == 0 ? 0 : std::size_t{1} << want;
+  std::vector<std::uint64_t> ids(n, 0);
+  std::vector<std::size_t> open_idx;
+  std::vector<std::size_t> group_begin(groups + 1, 0);
+  std::vector<std::size_t> group_len(groups, 0);
+  std::vector<std::size_t> open_count(groups, 0);
+  bool lists_built = false;
+  const auto build_lists = [&]() {
+    std::fill(open_count.begin(), open_count.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (assigned_class[i] < 0) ++open_count[ids[i]];
+    }
+    for (std::size_t k = 0; k < groups; ++k) {
+      group_begin[k + 1] = group_begin[k] + open_count[k];
+      group_len[k] = 0;
+    }
+    open_idx.resize(group_begin[groups]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (assigned_class[i] >= 0) continue;
+      const std::uint64_t k = ids[i];
+      open_idx[group_begin[k] + group_len[k]++] = i;
+    }
+    lists_built = true;
+  };
+  const auto compact_group = [&](std::uint64_t k) {
+    std::size_t* const first = open_idx.data() + group_begin[k];
+    std::size_t* const last =
+        std::remove_if(first, first + group_len[k],
+                       [&](std::size_t i) { return assigned_class[i] >= 0; });
+    group_len[k] = static_cast<std::size_t>(last - first);
+    return std::span<const std::size_t>(first, group_len[k]);
+  };
+
   const auto assign = [&](std::size_t i, int c) {
     assigned_class[i] = c;
     ++assigned_count;
+    if (lists_built) --open_count[ids[i]];
   };
   // Promote a freshly verified member to representative when it is
   // provably row-distinct from every current representative (a strict
@@ -237,14 +283,11 @@ partition_outcome bank_classifier::representative_partition(
   // class, which is exactly as safe and as expensive as the pivot loop.
   std::uint64_t support = 0;
   for (const std::uint64_t a : pool) support |= a ^ pool.front();
-  const unsigned want = (bank_count & (bank_count - 1)) == 0
-                            ? log2_exact(bank_count)
-                            : 0;
   bool trusted = false;
   gf2::matrix basis;
-  std::vector<std::uint64_t> ids(n, 0);
   gf2::matrix ids_basis;  // the basis `ids` was computed under
-  std::unordered_map<std::uint64_t, int> id_to_class;
+  // Predicted id -> the first class founded on it (-1: none yet).
+  std::vector<int> id_to_class(groups, -1);
   const auto id_of = [&](std::uint64_t addr) {
     std::uint64_t id = 0;
     for (std::size_t k = 0; k < basis.size(); ++k) {
@@ -260,7 +303,7 @@ partition_outcome bank_classifier::representative_partition(
   std::vector<std::size_t> folded;  // per class: members already folded
   const auto refresh_prediction = [&]() {
     trusted = false;
-    id_to_class.clear();
+    std::fill(id_to_class.begin(), id_to_class.end(), -1);
     if (want == 0) return;
     folded.resize(classes_.size(), 1);
     for (std::size_t c = 0; c < classes_.size(); ++c) {
@@ -309,10 +352,11 @@ partition_outcome bank_classifier::representative_partition(
     if (basis != ids_basis) {
       for (std::size_t i = 0; i < n; ++i) ids[i] = id_of(pool[i]);
       ids_basis = basis;
+      build_lists();
     }
     for (std::size_t c = 0; c < classes_.size(); ++c) {
-      id_to_class.emplace(id_of(classes_[c].members.front()),
-                          static_cast<int>(c));
+      int& slot = id_to_class[id_of(classes_[c].members.front())];
+      if (slot < 0) slot = static_cast<int>(c);
     }
   };
 
@@ -346,28 +390,28 @@ partition_outcome bank_classifier::representative_partition(
   std::vector<std::size_t> vote_idx;
   std::vector<int> vote_class;
   std::vector<char> vote_fallback;
+  std::vector<std::size_t> visit;
   std::vector<std::size_t> founder_candidates;
   std::vector<std::uint64_t> partners;
   std::vector<std::size_t> partner_idx;
-  // Founder-pick scratch: ids are `want`-bit values, so group sizes live
-  // in a flat array indexed by id — rebuilt per round, never allocated.
-  std::vector<std::size_t> group_size(want == 0 ? 0 : std::size_t{1} << want);
   unsigned founder_attempts = 0;
   bool prediction_dirty = true;
   // Livelock bound: an address's ladder has at most one rung per
   // representative per class, so any stretch of all-negative vote rounds
   // longer than that means the ladder's memory is being erased out from
-  // under it (witness LRU eviction with more open classes than
-  // plan_config::max_witnesses) — fail the partition instead of spinning.
+  // under it — fail the partition instead of spinning.
   const unsigned max_barren_rounds = bank_count * max_reps + 2;
   unsigned barren_rounds = 0;
 
   while (assigned_count < target) {
     if (barren_rounds > max_barren_rounds) {
-      log_error("partition(rep): no progress after " +
-                std::to_string(barren_rounds) +
-                " vote rounds (witness capacity too small for " +
-                std::to_string(classes_.size()) + " open classes?)");
+      log_error("partition(rep): stalled after " +
+                std::to_string(barren_rounds) + " barren vote rounds: " +
+                std::to_string(classes_.size()) + "/" +
+                std::to_string(bank_count) + " classes open, " +
+                std::to_string(n - assigned_count) + "/" + std::to_string(n) +
+                " addresses unassigned, prediction " +
+                (trusted ? "trusted" : "untrusted"));
       break;  // success stays false below
     }
     const std::size_t assigned_before_round = assigned_count;
@@ -387,62 +431,73 @@ partition_outcome bank_classifier::representative_partition(
     vote_fallback.clear();
     founder_candidates.clear();
     std::size_t free_this_round = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (assigned_class[i] >= 0 || exhausted[i]) continue;
-      const std::uint64_t x = pool[i];
-      int pick_class = -1;
-      std::uint64_t pick_rep = 0;
-      bool pick_fallback = false;
-      bool resolved = false;
-      if (trusted) {
-        const auto hit = id_to_class.find(ids[i]);
-        if (hit == id_to_class.end()) {
-          founder_candidates.push_back(i);
-          continue;
+    const auto resolve_free = [&](std::size_t i, int c) {
+      assign(i, c);
+      ++out.reused_verdicts;
+      ++stats_.free_assignments;
+      plan_.credit_saved(free_credit);
+      ++free_this_round;
+    };
+    const auto cast_vote = [&](std::size_t i, std::uint64_t rep, int c,
+                               bool fallback) {
+      vote_pairs.emplace_back(rep, pool[i]);
+      vote_idx.push_back(i);
+      vote_class.push_back(c);
+      vote_fallback.push_back(fallback ? 1 : 0);
+    };
+    if (trusted) {
+      // Only addresses whose predicted id has a class can vote; the rest
+      // wait for a founder. Visiting them in ascending pool order keeps
+      // the plan's call sequence that of a full-pool sweep.
+      visit.clear();
+      for (std::size_t k = 0; k < groups; ++k) {
+        if (id_to_class[k] < 0) continue;
+        for (const std::size_t i : compact_group(k)) {
+          if (!exhausted[i]) visit.push_back(i);
         }
-        const int c = hit->second;
-        const std::vector<std::uint64_t>& reps =
-            classes_[c].representatives;
+      }
+      std::sort(visit.begin(), visit.end());
+      for (const std::size_t i : visit) {
+        const int c = id_to_class[ids[i]];
+        const std::vector<std::uint64_t>& reps = classes_[c].representatives;
+        bool resolved = false;
+        bool voted = false;
         for (std::size_t ri = 0; ri < reps.size(); ++ri) {
-          const pair_relation rel = plan_.relation(x, reps[ri]);
+          const pair_relation rel = plan_.relation(pool[i], reps[ri]);
           if (rel == pair_relation::same_bank) {
-            assign(i, c);
-            ++out.reused_verdicts;
-            ++stats_.free_assignments;
-            plan_.credit_saved(free_credit);
-            ++free_this_round;
+            resolve_free(i, c);
             resolved = true;
             break;
           }
           if (rel == pair_relation::unknown) {
-            pick_class = c;
-            pick_rep = reps[ri];
-            pick_fallback = ri > 0;
+            cast_vote(i, reps[ri], c, ri > 0);
+            voted = true;
             break;
           }
         }
-        if (resolved) continue;
-        if (pick_class < 0) {
+        if (!resolved && !voted) {
           // Every row-distinct representative of the (provably right)
           // class refuted this address: contamination noise. Leave it to
           // the per_threshold straggler allowance, like the paper does.
           exhausted[i] = 1;
-          continue;
         }
-      } else {
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (assigned_class[i] >= 0 || exhausted[i]) continue;
+        const std::uint64_t x = pool[i];
         // Untrusted sweep: honour any cached positive first, then the
         // first unanswered primary vote, then the second-representative
         // fallback rung, and only then the founder queue.
+        int pick_class = -1;
+        std::uint64_t pick_rep = 0;
+        bool resolved = false;
         for (std::size_t c = 0; c < classes_.size() && !resolved; ++c) {
           const std::vector<std::uint64_t>& reps =
               classes_[c].representatives;
           const pair_relation rel = plan_.relation(x, reps.front());
           if (rel == pair_relation::same_bank) {
-            assign(i, static_cast<int>(c));
-            ++out.reused_verdicts;
-            ++stats_.free_assignments;
-            plan_.credit_saved(free_credit);
-            ++free_this_round;
+            resolve_free(i, static_cast<int>(c));
             resolved = true;
           } else if (rel == pair_relation::unknown && pick_class < 0) {
             pick_class = static_cast<int>(c);
@@ -450,6 +505,7 @@ partition_outcome bank_classifier::representative_partition(
           }
         }
         if (resolved) continue;
+        bool pick_fallback = false;
         if (pick_class < 0) {
           for (std::size_t c = 0; c < classes_.size(); ++c) {
             const std::vector<std::uint64_t>& reps =
@@ -467,11 +523,8 @@ partition_outcome bank_classifier::representative_partition(
           founder_candidates.push_back(i);
           continue;
         }
+        cast_vote(i, pick_rep, pick_class, pick_fallback);
       }
-      vote_pairs.emplace_back(pick_rep, x);
-      vote_idx.push_back(i);
-      vote_class.push_back(pick_class);
-      vote_fallback.push_back(pick_fallback ? 1 : 0);
     }
 
     // Cast the round's votes in one batch.
@@ -510,20 +563,29 @@ partition_outcome bank_classifier::representative_partition(
         classes_.size() < bank_count) {
       std::size_t pick = n;  // n = none
       if (trusted) {
-        // Largest unassigned id group founds first: most information per
-        // scan, and ties broken by pool order keep the choice
-        // deterministic.
-        std::fill(group_size.begin(), group_size.end(), 0);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (assigned_class[i] < 0) ++group_size[ids[i]];
-        }
+        // Largest open id group without a class founds first: most
+        // information per scan. Ties go to the smallest eligible pool
+        // index, keeping the choice deterministic. A group's first
+        // eligible entry is found without compacting its list.
         std::size_t best = 0;
-        for (const std::size_t i : founder_candidates) {
-          if (founder_blocked[i]) continue;
-          const std::size_t g = group_size[ids[i]];
-          if (g > best) {
-            best = g;
-            pick = i;
+        for (std::size_t k = 0; k < groups; ++k) {
+          if (id_to_class[k] >= 0 || open_count[k] == 0 ||
+              open_count[k] < best) {
+            continue;
+          }
+          const std::size_t* it = open_idx.data() + group_begin[k];
+          const std::size_t* const end = it + group_len[k];
+          for (; it != end; ++it) {
+            const std::size_t i = *it;
+            if (assigned_class[i] >= 0 || exhausted[i] ||
+                founder_blocked[i]) {
+              continue;
+            }
+            if (open_count[k] > best || i < pick) {
+              best = open_count[k];
+              pick = i;
+            }
+            break;
           }
         }
       } else {
@@ -541,11 +603,17 @@ partition_outcome bank_classifier::representative_partition(
         const std::uint64_t pivot = pool[pick];
         partners.clear();
         partner_idx.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i == pick || assigned_class[i] >= 0) continue;
-          if (trusted && ids[i] != ids[pick]) continue;
+        const auto add_partner = [&](std::size_t i) {
+          if (i == pick) return;
           partners.push_back(pool[i]);
           partner_idx.push_back(i);
+        };
+        if (trusted) {
+          for (const std::size_t i : compact_group(ids[pick])) add_partner(i);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) {
+            if (assigned_class[i] < 0) add_partner(i);
+          }
         }
         scan_options opts = founder_opts;
         if (trusted) {

@@ -77,18 +77,6 @@ bool measurement_plan::witness_copy(std::uint64_t addr,
   return true;
 }
 
-void measurement_plan::witness_touch(std::uint64_t addr, std::uint64_t pivot) {
-  const std::size_t rec = idx_.find(addr);
-  DRAMDIG_EXPECTS(rec != plan_index::npos);
-  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
-  for (std::size_t i = 0; i < ws.size(); ++i) {
-    if (ws[i] == pivot) {
-      idx_.witness_move_to_back(rec, i);
-      return;
-    }
-  }
-}
-
 int measurement_plan::memo_find(std::uint64_t a, std::uint64_t b) const {
   const sim::addr_pair key = canonical(a, b);
   return idx_.memo_find(key.first, key.second);
@@ -139,16 +127,18 @@ void measurement_plan::record_negative(std::uint64_t pivot,
 }
 
 bool measurement_plan::known_cross(std::uint64_t pivot, std::uint64_t x) {
-  // Work on a copy of x's list: arena spans die on any witness push, and
-  // the derivation below records negatives. The copy is scratch-backed.
-  std::vector<std::uint64_t>& ws = scratch_.witness_buf;
-  if (!witness_copy(x, ws)) return false;
+  // x's list is read in place: arena spans die on any witness push, and
+  // the only push below is the record_negative right before the return.
+  const std::size_t rec = idx_.find(x);
+  if (rec == plan_index::npos) return false;
+  const std::span<const std::uint64_t> ws = idx_.witnesses(rec);
+  if (ws.empty()) return false;  // a node-only record has no list yet
   // Exact pair measured (or previously derived): reuse that verdict. The
   // hit rotates to the back of the list so LRU eviction drops stale
   // entries first.
-  for (const std::uint64_t w : ws) {
-    if (w == pivot) {
-      witness_touch(x, pivot);
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    if (ws[i] == pivot) {
+      idx_.witness_move_to_back(rec, i);
       return true;
     }
   }

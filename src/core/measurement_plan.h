@@ -246,9 +246,6 @@ class measurement_plan {
   /// any witness push, and callers loop over one list while recording
   /// negatives on others.
   bool witness_copy(std::uint64_t addr, std::vector<std::uint64_t>& out);
-  /// Rotate addr's witness entry equal to `pivot` to the back (LRU hit).
-  /// Pre: the entry exists.
-  void witness_touch(std::uint64_t addr, std::uint64_t pivot);
   /// Memoized strict verdict for the canonical pair, or -1 when absent.
   [[nodiscard]] int memo_find(std::uint64_t a, std::uint64_t b) const;
   /// Insert or overwrite the canonical pair's strict verdict.
@@ -309,7 +306,6 @@ class measurement_plan {
     std::vector<double> expanded_lat;  ///< verify_strict batch latencies
     std::vector<sim::addr_pair> expanded;
     std::vector<unsigned> fresh_counts;
-    std::vector<std::uint64_t> witness_buf;        ///< known_cross list copy
     std::vector<std::uint64_t> pivot_witness_buf;  ///< classify_partners copy
   } scratch_;
 };
