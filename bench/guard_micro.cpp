@@ -48,8 +48,15 @@ constexpr gate_row kGates[] = {
     // host second (~20M on one core; per-access accounting would cost
     // ~30x).
     {"hot_path_throughput", "min_mps_100k", gate::floor, 2e6, 2e6},
-    // Counter sampler vs the sequential mt19937 gaussian (~2.4x).
+    // Counter sampler vs the sequential MT19937-64 gaussian (~2.3x).
     {"noise_sampling", "speedup", gate::floor, 1.3, 1.3},
+    // Per-job fixed path: the MT19937-64 engine against std::mt19937_64
+    // (~3x) and pfn_at's branch-free search against std::upper_bound
+    // (~3x), each output-identical to what it replaced.
+    {"fixed_path", "engine_identical", gate::flag, 0, 0},
+    {"fixed_path", "pfn_at_identical", gate::flag, 0, 0},
+    {"fixed_path", "engine_speedup", gate::floor, 1.5, 1.5},
+    {"fixed_path", "pfn_at_speedup", gate::floor, 1.5, 1.5},
     // 1-thread/8-thread counter-tail wall: >1 on multi-core hosts, bounded
     // below where an oversubscribed pool only adds handoff cost.
     {"counter_tail", "scaling_8t_vs_1t", gate::floor, 0.6, 0.6},

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <random>
 #include <span>
 #include <string>
 
@@ -27,6 +28,8 @@
 #include "core/function_detect.h"
 #include "core/probe_util.h"
 #include "dram/presets.h"
+#include "host_info.h"
+#include "os/address_space.h"
 #include "os/physical_memory.h"
 #include "sysinfo/system_info.h"
 #include "sim/machine.h"
@@ -475,7 +478,7 @@ void emit_bench_json(const std::string& path, bool smoke) {
   const double min_mps_100k =
       std::min(hot_rows[1].decode_mps, hot_rows[1].measure_mps);
 
-  // Noise sampling: the sequential mt19937 gaussian (rng::gaussian, per-call
+  // Noise sampling: the sequential MT19937-64 gaussian (rng::gaussian, per-call
   // normal_distribution construction — the simulator's noise source before
   // counter streams) vs the counter stream's fixed-consumption inverse-CDF
   // sampler. Draws/s, min-of-3; the ratio is CI-gated by bench_guard so
@@ -499,6 +502,77 @@ void emit_bench_json(const std::string& path, bool smoke) {
                             9.0, sink.data());
       benchmark::DoNotOptimize(sink.data());
       counter_draw_s = std::min(counter_draw_s, wall_seconds_since(tick));
+    }
+  }
+
+  // Per-job fixed path: the two pieces every job pays around its
+  // measurements, each against the library code it replaced, kept local
+  // here. The engine (mersenne_twister_64) against std::mt19937_64 on
+  // one seed: draws/s, min-of-3, and every word compared. The frame
+  // lookup (mapping_region::pfn_at, a branch-free halving search) against
+  // std::upper_bound over the same pfn_runs(), on random indices into a
+  // buffer of a few hundred runs: ns per lookup, min-of-3, and every
+  // answer compared. bench_guard gates both identity flags and both
+  // speedups.
+  const std::size_t engine_draws = smoke ? (1u << 22) : (1u << 24);
+  double std_engine_s = 1e300, engine_s = 1e300;
+  bool engine_identical = true;
+  {
+    std::mt19937_64 reference(42);
+    mersenne_twister_64 engine(42);
+    for (std::size_t i = 0; i < engine_draws; ++i) {
+      engine_identical &= engine() == reference();
+    }
+    for (int rep = 0; rep < 3; ++rep) {
+      std::uint64_t sum = 0;
+      auto tick = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < engine_draws; ++i) sum += reference();
+      benchmark::DoNotOptimize(sum);
+      std_engine_s = std::min(std_engine_s, wall_seconds_since(tick));
+      tick = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < engine_draws; ++i) sum += engine();
+      benchmark::DoNotOptimize(sum);
+      engine_s = std::min(engine_s, wall_seconds_since(tick));
+    }
+  }
+  const std::size_t lookups = smoke ? (1u << 18) : (1u << 20);
+  double upper_bound_s = 1e300, pfn_at_s = 1e300;
+  bool pfn_at_identical = true;
+  std::size_t lookup_runs = 0;
+  {
+    // No.1's buffer at the default fragmentation and buffer fraction: the
+    // region a job samples its calibration pool from.
+    core::environment env(dram::machine_by_number(1), 2025);
+    const os::mapping_region& region =
+        env.space().map_buffer(static_cast<std::uint64_t>(
+            core::dramdig_config{}.buffer_fraction *
+            static_cast<double>(env.spec().memory_bytes)));
+    const std::vector<os::pfn_run>& runs = region.pfn_runs();
+    lookup_runs = runs.size();
+    const auto by_upper_bound = [&runs](std::uint64_t i) {
+      const auto it = std::upper_bound(
+          runs.begin(), runs.end(), i,
+          [](std::uint64_t v, const os::pfn_run& run) {
+            return v < run.pfn_prefix;
+          });
+      return (it - 1)->first_pfn + (i - (it - 1)->pfn_prefix);
+    };
+    rng pick(99);
+    std::vector<std::uint64_t> index(lookups);
+    for (std::uint64_t& i : index) i = pick.below(region.page_count());
+    for (const std::uint64_t i : index) {
+      pfn_at_identical &= region.pfn_at(i) == by_upper_bound(i);
+    }
+    for (int rep = 0; rep < 3; ++rep) {
+      std::uint64_t sum = 0;
+      auto tick = std::chrono::steady_clock::now();
+      for (const std::uint64_t i : index) sum += by_upper_bound(i);
+      benchmark::DoNotOptimize(sum);
+      upper_bound_s = std::min(upper_bound_s, wall_seconds_since(tick));
+      tick = std::chrono::steady_clock::now();
+      for (const std::uint64_t i : index) sum += region.pfn_at(i);
+      benchmark::DoNotOptimize(sum);
+      pfn_at_s = std::min(pfn_at_s, wall_seconds_since(tick));
     }
   }
 
@@ -739,6 +813,7 @@ void emit_bench_json(const std::string& path, bool smoke) {
   w.begin_object();
   w.key("bench").value("micro_primitives");
   w.key("smoke").value(smoke);
+  bench::write_host_block(w);
   w.key("function_detect_synthetic").begin_object();
   w.key("bank_bit_count").value(std::uint64_t{width});
   w.key("function_count").value(std::uint64_t{functions});
@@ -775,6 +850,22 @@ void emit_bench_json(const std::string& path, bool smoke) {
       .value(static_cast<double>(noise_draws) /
              std::max(counter_draw_s, 1e-12));
   w.key("speedup").value(legacy_draw_s / std::max(counter_draw_s, 1e-9));
+  w.end_object();
+  w.key("fixed_path").begin_object();
+  w.key("engine_draws").value(std::uint64_t{engine_draws});
+  w.key("std_engine_draws_per_s")
+      .value(static_cast<double>(engine_draws) / std::max(std_engine_s, 1e-12));
+  w.key("engine_draws_per_s")
+      .value(static_cast<double>(engine_draws) / std::max(engine_s, 1e-12));
+  w.key("engine_speedup").value(std_engine_s / std::max(engine_s, 1e-12));
+  w.key("engine_identical").value(engine_identical);
+  w.key("lookups").value(std::uint64_t{lookups});
+  w.key("lookup_runs").value(lookup_runs);
+  w.key("upper_bound_ns")
+      .value(upper_bound_s * 1e9 / static_cast<double>(lookups));
+  w.key("pfn_at_ns").value(pfn_at_s * 1e9 / static_cast<double>(lookups));
+  w.key("pfn_at_speedup").value(upper_bound_s / std::max(pfn_at_s, 1e-12));
+  w.key("pfn_at_identical").value(pfn_at_identical);
   w.end_object();
   w.key("counter_tail").begin_object();
   w.key("pairs").value(std::uint64_t{tail_pairs});
@@ -927,6 +1018,17 @@ void emit_bench_json(const std::string& path, bool smoke) {
               static_cast<double>(noise_draws) / legacy_draw_s / 1e6,
               static_cast<double>(noise_draws) / counter_draw_s / 1e6,
               legacy_draw_s / std::max(counter_draw_s, 1e-9));
+  std::printf("fixed path: engine %.1fM draws/s vs std %.1fM (%.2fx, "
+              "identical %s); pfn_at %.1f ns vs upper_bound %.1f ns over %zu "
+              "runs (%.2fx, identical %s)\n",
+              static_cast<double>(engine_draws) / engine_s / 1e6,
+              static_cast<double>(engine_draws) / std_engine_s / 1e6,
+              std_engine_s / std::max(engine_s, 1e-12),
+              engine_identical ? "yes" : "NO",
+              pfn_at_s * 1e9 / static_cast<double>(lookups),
+              upper_bound_s * 1e9 / static_cast<double>(lookups), lookup_runs,
+              upper_bound_s / std::max(pfn_at_s, 1e-12),
+              pfn_at_identical ? "yes" : "NO");
   std::printf("counter tail, %zu pairs: 1t %.1fM/s, 4t %.1fM/s, 8t %.1fM/s\n",
               tail_pairs,
               static_cast<double>(tail_pairs) / tail_rows[0].wall_s / 1e6,

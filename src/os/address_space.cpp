@@ -29,15 +29,33 @@ mapping_region::mapping_region(std::uint64_t va_base,
   }
 }
 
+namespace {
+
+/// The last run whose `key` is <= v, given runs[0].key <= v: a halving
+/// search whose step is a compare and a select, not a branch — the keys
+/// callers look up are random, so a branching search mispredicts about
+/// half its steps.
+template <std::uint64_t pfn_run::*key>
+const pfn_run* last_run_at_or_below(const std::vector<pfn_run>& runs,
+                                    std::uint64_t v) {
+  const pfn_run* base = runs.data();
+  for (std::size_t n = runs.size(); n > 1;) {
+    const std::size_t half = n / 2;
+    // The step as a mask: written as a ternary, GCC emits a branch.
+    base += half & (0 - static_cast<std::size_t>(base[half].*key <= v));
+    n -= half;
+  }
+  return base;
+}
+
+}  // namespace
+
 const pfn_run* mapping_region::run_of_pfn(std::uint64_t pfn) const {
   // Last run starting at or before pfn; runs are disjoint, so it is the
   // only candidate.
-  const auto it = std::upper_bound(
-      by_pfn_.begin(), by_pfn_.end(), pfn,
-      [](std::uint64_t v, const pfn_run& run) { return v < run.first_pfn; });
-  if (it == by_pfn_.begin()) return nullptr;
-  const pfn_run& run = *(it - 1);
-  return pfn < run.end_pfn() ? &run : nullptr;
+  if (by_pfn_.empty() || pfn < by_pfn_.front().first_pfn) return nullptr;
+  const pfn_run* run = last_run_at_or_below<&pfn_run::first_pfn>(by_pfn_, pfn);
+  return pfn < run->end_pfn() ? run : nullptr;
 }
 
 bool mapping_region::contains_page(std::uint64_t pfn) const {
@@ -46,11 +64,9 @@ bool mapping_region::contains_page(std::uint64_t pfn) const {
 
 std::uint64_t mapping_region::pfn_at(std::uint64_t i) const {
   DRAMDIG_EXPECTS(i < total_pages_);
-  const auto it = std::upper_bound(
-      by_pfn_.begin(), by_pfn_.end(), i,
-      [](std::uint64_t v, const pfn_run& run) { return v < run.pfn_prefix; });
-  const pfn_run& run = *(it - 1);
-  return run.first_pfn + (i - run.pfn_prefix);
+  // The first run's prefix is 0 <= i.
+  const pfn_run* run = last_run_at_or_below<&pfn_run::pfn_prefix>(by_pfn_, i);
+  return run->first_pfn + (i - run->pfn_prefix);
 }
 
 std::uint64_t mapping_region::translate(std::uint64_t va) const {

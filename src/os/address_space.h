@@ -16,8 +16,9 @@ namespace dramdig::os {
 /// One physically contiguous run of a region's backing, in frame order.
 /// The region keeps its lookup structures at run granularity — an
 /// allocation is a few hundred runs even for multi-GiB buffers, so every
-/// query is a short binary search and construction never materializes a
-/// per-page table (which used to cost tens of milliseconds of sort time
+/// query is a ~10-step halving search over the runs (compare-and-select
+/// steps, no data-dependent branch) and construction never materializes
+/// a per-page table (which used to cost tens of milliseconds of sort time
 /// per buffer, dominating whole-pipeline walls).
 struct pfn_run {
   std::uint64_t first_pfn = 0;    ///< lowest frame of the run

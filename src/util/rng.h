@@ -4,7 +4,7 @@
 // and benchmark tables are reproducible run to run.
 //
 // Two substrates live here:
-//   * `rng` — a sequential mt19937_64 stream. Sample i depends on every
+//   * `rng` — a sequential MT19937-64 stream. Sample i depends on every
 //     draw before it, so consumers that share one stream serialize.
 //   * `noise_stream` — a counter-based (Philox-style, Salmon et al.,
 //     "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) generator:
@@ -24,6 +24,61 @@
 
 namespace dramdig {
 
+/// MT19937-64 (Matsumoto & Nishimura), output-identical to
+/// std::mt19937_64: same seeding, twist and tempering, so the C++
+/// standard's distributions return the same values on top of either. The
+/// twist folds the matrix constant in with a mask where libstdc++ selects
+/// it with a branch on the word's low bit — a coin flip per word, which
+/// costs ~3x per draw under the default flags (no -march).
+class mersenne_twister_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit mersenne_twister_64(result_type seed = 5489) noexcept {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i) {
+      x_[i] = 6364136223846793005ull * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
+  [[nodiscard]] static constexpr result_type max() noexcept {
+    return ~result_type{0};
+  }
+
+  result_type operator()() noexcept {
+    if (next_ >= kN) twist();
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+
+  /// Upper 33 bits of `hi` joined with the lower 31 of `lo`, shifted and
+  /// xored with the matrix constant when the low bit is set.
+  [[nodiscard]] static result_type mix(result_type hi, result_type lo) noexcept {
+    const result_type y =
+        (hi & 0xFFFFFFFF80000000ull) | (lo & 0x7FFFFFFFull);
+    return (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9ull);
+  }
+
+  void twist() noexcept {
+    std::size_t k = 0;
+    for (; k < kN - kM; ++k) x_[k] = x_[k + kM] ^ mix(x_[k], x_[k + 1]);
+    for (; k < kN - 1; ++k) x_[k] = x_[k + kM - kN] ^ mix(x_[k], x_[k + 1]);
+    x_[kN - 1] = x_[kM - 1] ^ mix(x_[kN - 1], x_[0]);
+    next_ = 0;
+  }
+
+  result_type x_[kN];
+  std::size_t next_ = kN;
+};
+
 class rng {
  public:
   explicit rng(std::uint64_t seed) : engine_(seed) {}
@@ -40,19 +95,14 @@ class rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Uniform double in [0, 1).
-  ///
-  /// Distribution construction notes (why nothing is hoisted here): the
-  /// integer/real/bernoulli distributions are stateless — constructing one
-  /// stores its parameters and nothing else, so the per-call temporaries
-  /// below cost nothing and hoisting them would buy nothing.
-  [[nodiscard]] double uniform() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-  }
+  /// Uniform double in [0, 1): std::generate_canonical<double, 53> over
+  /// one word, which is what uniform_real_distribution(0, 1) returns.
+  [[nodiscard]] double uniform() noexcept { return canonical(engine_()); }
 
-  /// Bernoulli trial. Stateless distribution — see uniform().
-  [[nodiscard]] bool chance(double p) {
-    return std::bernoulli_distribution(p)(engine_);
+  /// Bernoulli trial, p in [0, 1]: std::bernoulli_distribution(p) draws
+  /// exactly `canonical < p`.
+  [[nodiscard]] bool chance(double p) noexcept {
+    return canonical(engine_()) < p;
   }
 
   /// Normal deviate, one fresh std::normal_distribution per call. This is
@@ -68,10 +118,24 @@ class rng {
   [[nodiscard]] rng fork() { return rng(engine_()); }
 
   /// Access the underlying engine (for std::shuffle and distributions).
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
+  [[nodiscard]] mersenne_twister_64& engine() noexcept { return engine_; }
+
+  /// libstdc++'s generate_canonical<double, 53> for a 64-bit word:
+  /// double(x) * 2^-64, clamped to the largest double below 1. The two
+  /// 32-bit halves convert exactly and their sum rounds once, to the same
+  /// double as the direct conversion, but without the branch on the top
+  /// bit that an unsigned 64-bit conversion compiles to.
+  [[nodiscard]] static double canonical(std::uint64_t x) noexcept {
+    const double v =
+        (static_cast<double>(static_cast<std::int64_t>(x >> 32)) * 0x1p32 +
+         static_cast<double>(static_cast<std::int64_t>(x & 0xffffffffu))) *
+        0x1p-64;
+    // Every double below 1 is at most 1 - 2^-53, so the clamp is a min.
+    return std::min(v, 0x1.fffffffffffffp-1);
+  }
 
  private:
-  std::mt19937_64 engine_;
+  mersenne_twister_64 engine_;
 };
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace dramdig::os {
@@ -119,6 +122,87 @@ TEST(AddressSpace, CoversRangeDetectsHoles) {
   const auto& region = f.space.map_buffer(1ull << 18);
   // A range starting at an unmapped frame is not covered.
   EXPECT_FALSE(region.covers_range(0, kPageSize));
+}
+
+/// Checks every frame lookup of `region` against a brute-force frame
+/// table, for every frame from 0 to two past the last run: frames below
+/// the first run, between runs, at both ends of each run and past the
+/// end.
+void expect_lookups_match_frames(const mapping_region& region) {
+  std::uint64_t limit = 0;
+  for (const extent& e : region.backing()) {
+    limit = std::max(limit, e.first_pfn + e.page_count);
+  }
+  limit += 2;
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::vector<std::uint64_t> page_of(limit, kNone);  // frame -> VA page
+  std::uint64_t page = 0;
+  for (const extent& e : region.backing()) {
+    for (std::uint64_t k = 0; k < e.page_count; ++k) {
+      page_of[e.first_pfn + k] = page++;
+    }
+  }
+  // backed_before[f] = backed frames below f, for O(1) range coverage.
+  std::vector<std::uint64_t> backed_before(limit + 1, 0);
+  std::vector<std::uint64_t> frames;
+  for (std::uint64_t f = 0; f < limit; ++f) {
+    const bool backed = page_of[f] != kNone;
+    backed_before[f + 1] = backed_before[f] + (backed ? 1 : 0);
+    if (backed) frames.push_back(f);
+  }
+  ASSERT_EQ(frames.size(), region.page_count());
+
+  std::size_t mismatches = 0;
+  const auto covered = [&](std::uint64_t first, std::uint64_t last) {
+    last = std::min(last, limit);  // frames at or past limit are unbacked
+    return first >= last || backed_before[last] - backed_before[first] ==
+                                last - first;
+  };
+  for (std::uint64_t f = 0; f < limit; ++f) {
+    const bool backed = page_of[f] != kNone;
+    mismatches += region.contains_page(f) != backed;
+    const std::uint64_t pa = f * kPageSize + 100;
+    const auto va = region.reverse(pa);
+    mismatches += va.has_value() != backed;
+    if (backed && va.has_value()) {
+      mismatches += *va != region.va_base() + page_of[f] * kPageSize + 100;
+    }
+    for (const std::uint64_t len : {1ull, 2ull, 3ull, 17ull, 300ull}) {
+      // Page-aligned, and a byte range that rounds out to the same pages.
+      const bool want = covered(f, f + len);
+      mismatches += region.covers_range(f * kPageSize,
+                                        (f + len) * kPageSize) != want;
+      mismatches += region.covers_range(f * kPageSize + 100,
+                                        (f + len) * kPageSize - 100) != want;
+    }
+  }
+  for (std::uint64_t i = 0; i < frames.size(); ++i) {
+    mismatches += region.pfn_at(i) != frames[i];
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_THROW((void)region.pfn_at(region.page_count()), contract_violation);
+}
+
+TEST(AddressSpace, FrameLookupsMatchBruteForceOnFragmentedRegions) {
+  for (const double frag : {0.6, 0.9}) {
+    space_fixture f(1ull << 31, frag, 5);
+    const auto& region = f.space.map_buffer(1ull << 29);
+    SCOPED_TRACE(frag);
+    EXPECT_GT(region.pfn_runs().size(), 1000u);
+    expect_lookups_match_frames(region);
+  }
+}
+
+TEST(AddressSpace, FrameLookupsMatchBruteForceOnSmallRegions) {
+  // One run; runs that are physically adjacent but not in VA order (so
+  // coverage crosses runs); and the empty region.
+  expect_lookups_match_frames(mapping_region(0x10000, {{100, 8}}));
+  expect_lookups_match_frames(
+      mapping_region(0x10000, {{50, 4}, {10, 5}, {15, 3}, {54, 1}, {2, 1}}));
+  const mapping_region empty(0x10000, {});
+  expect_lookups_match_frames(empty);
+  EXPECT_FALSE(empty.contains_page(0));
+  EXPECT_FALSE(empty.covers_range(0, 1));
 }
 
 TEST(AddressSpace, RegionsRemainValidAcrossLaterMappings) {

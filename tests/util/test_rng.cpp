@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 namespace dramdig {
 namespace {
 
@@ -107,6 +112,140 @@ TEST(Rng, ForkIsDeterministicGivenParentSeed) {
   rng ca = a.fork(), cb = b.fork();
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(ca.below(1000), cb.below(1000));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Identity with the standard library: the engine and every draw must return
+// exactly what std::mt19937_64 and the std distributions return, so every
+// seeded run stays bit-identical.
+
+TEST(MersenneTwister64, MatchesStdEngineOverMillionsOfDraws) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        std::uint64_t{0x9E3779B97F4A7C15}, ~std::uint64_t{0}}) {
+    mersenne_twister_64 ours(seed);
+    std::mt19937_64 reference(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < (1 << 20); ++i) mismatches += ours() != reference();
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(MersenneTwister64, StandardCheckValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  mersenne_twister_64 engine;
+  for (int i = 1; i < 10000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ull);
+  static_assert(mersenne_twister_64::min() == 0);
+  static_assert(mersenne_twister_64::max() ==
+                std::numeric_limits<std::uint64_t>::max());
+}
+
+/// Returns one fixed word: feeds std::generate_canonical a chosen input.
+struct fixed_word {
+  using result_type = std::uint64_t;
+  std::uint64_t word;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+  result_type operator()() const { return word; }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(RngCanonical, MatchesStdOnEdgeWords) {
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  const std::uint64_t words[] = {
+      0, 1, 2, top - 1, top, top + 1,
+      // Round up across a binade: the nearest double is the next power of
+      // two.
+      (std::uint64_t{1} << 54) - 1, (std::uint64_t{1} << 60) - 1,
+      // Ties to even just under 2^64 (double spacing there is 2^11).
+      ~std::uint64_t{0} - 1024, ~std::uint64_t{0} - 1023,
+      ~std::uint64_t{0} - 2048, ~std::uint64_t{0}};
+  for (const std::uint64_t w : words) {
+    fixed_word g{w};
+    EXPECT_EQ(bits(rng::canonical(w)),
+              bits(std::generate_canonical<double, 53>(g)))
+        << "word " << w;
+  }
+  EXPECT_EQ(rng::canonical(0), 0.0);
+  EXPECT_EQ(rng::canonical(top), 0.5);
+  EXPECT_EQ(rng::canonical(~std::uint64_t{0}), 1.0 - 0x1p-53);
+}
+
+TEST(RngCanonical, MatchesStdOnRandomWords) {
+  std::mt19937_64 words(77);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < (1 << 20); ++i) {
+    // Shift by 0..63 so every binade is exercised, not just the top one.
+    const std::uint64_t w = words() >> (i % 64);
+    fixed_word g{w};
+    mismatches +=
+        bits(rng::canonical(w)) != bits(std::generate_canonical<double, 53>(g));
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RngIdentity, DrawsMatchStdDistributionsInterleaved) {
+  for (const std::uint64_t seed : {3ull, 2024ull, 0xC0FFEEull}) {
+    rng ours(seed);
+    std::mt19937_64 ref(seed);
+    const double probabilities[] = {0.0, 1e-9, 0.25, 0.5, 0.7, 1.0};
+    const std::uint64_t bounds[] = {1, 2, 3, 7, 1u << 20, 1000003,
+                                    (std::uint64_t{1} << 63) + 5,
+                                    ~std::uint64_t{0}};
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 200000; ++i) {
+      switch (i % 7) {
+        case 0:
+          mismatches +=
+              bits(ours.uniform()) !=
+              bits(std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+          break;
+        case 1: {
+          const double p = probabilities[(i / 7) % 6];
+          mismatches += ours.chance(p) != std::bernoulli_distribution(p)(ref);
+          break;
+        }
+        case 2: {
+          const std::uint64_t b = bounds[(i / 7) % 8];
+          mismatches += ours.below(b) !=
+                        std::uniform_int_distribution<std::uint64_t>(
+                            0, b - 1)(ref);
+          break;
+        }
+        case 3: {
+          const std::int64_t lo = (i % 2) ? -5 : INT64_MIN;
+          const std::int64_t hi = (i % 3) ? 5 : INT64_MAX;
+          mismatches += ours.between(lo, hi) !=
+                        std::uniform_int_distribution<std::int64_t>(lo, hi)(ref);
+          break;
+        }
+        case 4:
+          mismatches += bits(ours.gaussian(100.0, 15.0)) !=
+                        bits(std::normal_distribution<double>(100.0, 15.0)(ref));
+          break;
+        case 5: {
+          rng child = ours.fork();
+          std::mt19937_64 child_ref(ref());
+          for (int k = 0; k < 3; ++k) {
+            mismatches += child.engine()() != child_ref();
+          }
+          mismatches += bits(child.uniform()) !=
+                        bits(std::uniform_real_distribution<double>(0.0, 1.0)(
+                            child_ref));
+          break;
+        }
+        default:
+          mismatches += ours.engine()() != ref();
+          break;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
   }
 }
 
