@@ -69,6 +69,10 @@ constexpr gate_row kGates[] = {
     // verdict may be. The win is measurement count, gated below.
     {"plan_overhead", "expected_below_one", gate::flag, 0, 0},
     {"plan_overhead", "ns_per_verdict_ratio", gate::floor, 0.2, 0.2},
+    // Plan index memo store+find on No.6 pool-shaped founder pairs vs as
+    // many random pairs: ~1.0 when the pair hash folds high bits into the
+    // slot bits, ~5 when pool keys collapse onto a few home slots.
+    {"plan_index", "shaped_vs_random", gate::ceiling, 2.0, 2.0},
     // Representative partition vs the pivot-scan loop: smallest saving
     // across 8/16/32 banks (~0.6 recorded).
     {"partition_representatives", "ok", gate::flag, 0, 0},

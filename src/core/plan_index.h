@@ -19,6 +19,16 @@
 //    there is no per-address allocation at all;
 //  * an insert-only open-addressing pair-memo table for strict verdicts.
 //
+// Key shape: the keys are pool addresses, and Algorithm 1 builds a pool
+// inside one contiguous range from addresses that differ only in bank and
+// row bits, so every key shares its low bits (No.6: bits 0-6 and 10-11 of
+// all 16,384 members). Both tables mask their hash to its low bits, so each
+// hash must fold the high bits into the masked slot bits; a hash that ends
+// in a bare multiply sends a founder scan's pairs to a few dozen home slots
+// and turns every memo probe into a long chain walk
+// (tests/core/test_plan_index.cpp pins the spread, BENCH_micro's plan_index
+// section the cost).
+//
 // The index is storage only: LRU order, eviction, stats and the derivation
 // rules stay in measurement_plan, which funnels every access through a few
 // accessor helpers. The golden transcripts in tests/golden (plan_mixed,
@@ -72,6 +82,28 @@ class plan_index {
         slots_[at] = rec + 1;
       }
     }
+  }
+
+  // --- slot hashes ---------------------------------------------------------
+  //
+  // Public for tests/core/test_plan_index.cpp. Each must honour the key
+  // shape contract above; a bare multiply does not, since the low bits of
+  // a product depend only on the low bits of its input.
+
+  [[nodiscard]] static std::uint64_t hash_addr(std::uint64_t x) noexcept {
+    x *= 0x9e3779b97f4a7c15ull;
+    x ^= x >> 32;
+    return x * 0xff51afd7ed558ccdull;
+  }
+
+  /// Order-sensitive pair hash ending in an xor-shift, multiply, xor-shift
+  /// finalizer, so the slot bits see every bit of both addresses.
+  [[nodiscard]] static std::uint64_t hash_pair(std::uint64_t a,
+                                               std::uint64_t b) noexcept {
+    std::uint64_t h = (a * 0x9e3779b97f4a7c15ull) ^ (b + (a >> 2));
+    h ^= h >> 32;
+    h *= 0xff51afd7ed558ccdull;
+    return h ^ (h >> 29);
   }
 
   // --- address records ----------------------------------------------------
@@ -205,19 +237,6 @@ class plan_index {
     char val = 0;
     char used = 0;
   };
-
-  [[nodiscard]] static std::uint64_t hash_addr(std::uint64_t x) noexcept {
-    x *= 0x9e3779b97f4a7c15ull;
-    x ^= x >> 32;
-    return x * 0xff51afd7ed558ccdull;
-  }
-
-  [[nodiscard]] static std::uint64_t hash_pair(std::uint64_t a,
-                                               std::uint64_t b) noexcept {
-    const std::uint64_t h = (a * 0x9e3779b97f4a7c15ull) ^
-                            (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
-    return h * 0xff51afd7ed558ccdull;
-  }
 
   void grow_slots() {
     std::vector<std::size_t> old;
